@@ -21,6 +21,7 @@ drives a process exit code.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -31,6 +32,8 @@ import numpy as np
 from .linalg import (
     apply_herm_fn,
     as_square,
+    cartesian_decomp,
+    from_spectrum,
     herm_eigen,
     operator_norm,
     svd,
@@ -199,25 +202,21 @@ class MatrixContext:
 
     @cached_property
     def abs_left(self) -> np.ndarray:
-        v = self._svd.right_vectors
-        return _hermitize((v * self._svd.singular_values) @ v.conj().T)
+        return from_spectrum(self._svd.right_vectors, self._svd.singular_values)
 
     @cached_property
     def abs_right(self) -> np.ndarray:
-        u = self._svd.left_vectors
-        return _hermitize((u * self._svd.singular_values) @ u.conj().T)
+        return from_spectrum(self._svd.left_vectors, self._svd.singular_values)
 
     def f_abs_left(self, f: Callable) -> np.ndarray:
         """f(|A|) through the singular spectrum."""
-        v = self._svd.right_vectors
         vals = _apply_to_values(f, self._svd.singular_values)
-        return _hermitize((v * vals) @ v.conj().T)
+        return from_spectrum(self._svd.right_vectors, vals)
 
     def f_abs_right(self, f: Callable) -> np.ndarray:
         """f(|A*|) through the singular spectrum."""
-        u = self._svd.left_vectors
         vals = _apply_to_values(f, self._svd.singular_values)
-        return _hermitize((u * vals) @ u.conj().T)
+        return from_spectrum(self._svd.left_vectors, vals)
 
     @cached_property
     def gram_sum(self) -> np.ndarray:
@@ -238,9 +237,7 @@ class MatrixContext:
 
     @cached_property
     def cartesian(self) -> tuple[np.ndarray, np.ndarray]:
-        b = 0.5 * (self.a + self.ah)
-        c = (self.a - self.ah) / 2j
-        return b, c
+        return cartesian_decomp(self.a)
 
     @cached_property
     def omega(self) -> RadiusEstimate:
@@ -352,20 +349,20 @@ def cartesian_radius_pair(a, cfg: RadiusConfig | None = None) -> tuple[RadiusEst
 def eval_chain_t2(a, cfg: RadiusConfig | None = None) -> ChainReport:
     """|| |A|^2+|A*|^2 ||/4 <= sqrt(2 w(A)^4 + w((A*-A)^2(A*+A)^2)/8)/2 <= w(A)^2.
 
-    Also cross-checks the identity w(C^2 B^2) = w((A*-A)^2 (A*+A)^2) / 16
-    through the Cartesian split, within tolerance plus enclosure widths, and
-    raises :class:`IdentityCheckError` if the two routes disagree."""
+    Also cross-checks (A*-A)^2 (A*+A)^2 = -16 C^2 B^2 through the Cartesian
+    split, on the matrices themselves, and raises :class:`IdentityCheckError`
+    if the residual norm exceeds tolerance.  Since |w(X) - w(Y)| <= ||X - Y||,
+    this implies w(C^2 B^2) = w((A*-A)^2 (A*+A)^2) / 16 without a third
+    enclosure."""
     c = _ctx(a, cfg)
-    e = c.omega
-    eq = c.omega_quad
-    ec = c.omega_c2b2
-    gap = abs(ec.lower - eq.lower / 16.0)
-    allow = default_tolerance(ec.upper, eq.upper / 16.0) + ec.width + eq.width / 16.0
+    gap = operator_norm(c.quad_product + 16.0 * c.c2b2)
+    allow = default_tolerance(operator_norm(c.quad_product))
     if gap > allow:
         raise IdentityCheckError(
-            f"w(C^2B^2) = {ec.lower!r} vs w((A*-A)^2(A*+A)^2)/16 = "
-            f"{eq.lower / 16.0!r}; gap {gap:.3e} above {allow:.3e}"
+            f"||(A*-A)^2(A*+A)^2 + 16 C^2B^2|| = {gap:.3e} above {allow:.3e}"
         )
+    e = c.omega
+    eq = c.omega_quad
 
     def mid(w_a: float, w_q: float) -> float:
         return 0.5 * math.sqrt(2.0 * w_a ** 4 + w_q / 8.0)
@@ -393,8 +390,8 @@ def eval_lemma_pos_diff(p, q, cfg: RadiusConfig | None = None) -> BoundReport:
         raise NotPositiveError(f"smallest eigenvalue {wmin:.3e} below -{tol:.3e}")
     wp = np.maximum(ep.eigenvalues, 0.0)
     wq = np.maximum(eq.eigenvalues, 0.0)
-    pc = _hermitize((ep.eigenvectors * wp) @ ep.eigenvectors.conj().T)
-    qc = _hermitize((eq.eigenvectors * wq) @ eq.eigenvectors.conj().T)
+    pc = from_spectrum(ep.eigenvectors, wp)
+    qc = from_spectrum(eq.eigenvectors, wq)
     lhs = operator_norm(pc - qc)
     rhs = max(float(wp[-1]), float(wq[-1])) - min(float(wp[0]), float(wq[0]))
     return _report("LEM-POSDIFF", lhs, rhs, rhs, default_tolerance(lhs, rhs))
@@ -477,49 +474,79 @@ def eval_chain_cor(a, r: float = 2.0, cfg: RadiusConfig | None = None) -> ChainR
 
 @dataclass(frozen=True)
 class CatalogEntry:
+    """One registry entry.
+
+    ``evaluator(ctx, r)`` checks the entry on a :class:`MatrixContext`, with
+    ``r`` the exponent (read only by entries that take a ``:r`` suffix); the
+    arity-2 lemmas have none.  Violations of a ``diagnostic`` entry never
+    drive a process exit code and keep it out of the default study list."""
+
     bound_id: str
     description: str
     arity: int
+    evaluator: Callable | None = None
+    diagnostic: bool = False
+    takes_r: bool = False
 
 
 _CATALOG: tuple[CatalogEntry, ...] = (
-    CatalogEntry("B0", "||A||/2 <= w(A) <= ||A||", 1),
-    CatalogEntry("KIT", "w(A) <= || |A| + |A*| || / 2", 1),
-    CatalogEntry("SQ", "|| |A|^2+|A*|^2 ||/4 <= w(A)^2 <= || |A|^2+|A*|^2 ||/2", 1),
-    CatalogEntry("LEM1+", "||A + A*||/2 <= w(A)", 1),
-    CatalogEntry("LEM1-", "||A - A*||/2 <= w(A)", 1),
+    CatalogEntry("B0", "||A||/2 <= w(A) <= ||A||", 1, lambda c, r: eval_chain_b0(c)),
+    CatalogEntry("KIT", "w(A) <= || |A| + |A*| || / 2", 1, lambda c, r: eval_bound_kit(c)),
     CatalogEntry(
-        "T1", "|| |A|^2+|A*|^2 ||/4 <= (||A+A*||^2 + ||A-A*||^2)/8 <= w(A)^2", 1
+        "SQ",
+        "|| |A|^2+|A*|^2 ||/4 <= w(A)^2 <= || |A|^2+|A*|^2 ||/2",
+        1,
+        lambda c, r: eval_chain_sq(c),
+    ),
+    CatalogEntry("LEM1+", "||A + A*||/2 <= w(A)", 1, lambda c, r: eval_bound_lem1(c, 1)),
+    CatalogEntry("LEM1-", "||A - A*||/2 <= w(A)", 1, lambda c, r: eval_bound_lem1(c, -1)),
+    CatalogEntry(
+        "T1",
+        "|| |A|^2+|A*|^2 ||/4 <= (||A+A*||^2 + ||A-A*||^2)/8 <= w(A)^2",
+        1,
+        lambda c, r: eval_chain_t1(c),
     ),
     CatalogEntry("LEM-SUM", "||A+B|| <= sqrt(||A*A + B*B|| + 2 w(B*A))", 2),
     CatalogEntry(
         "T2",
         "|| |A|^2+|A*|^2 ||/4 <= sqrt(2 w(A)^4 + w((A*-A)^2(A*+A)^2)/8)/2 <= w(A)^2",
         1,
+        lambda c, r: eval_chain_t2(c),
     ),
     CatalogEntry(
         "LEM-POSDIFF", "||P - Q|| <= max(||P||,||Q||) - min(m(P), m(Q)) for PSD P, Q", 2
     ),
-    CatalogEntry("T3", "w(A)^2 <= || (|A|^2+|A*|^2)/2 || - m(((|A|-|A*|)/2)^2)", 1),
+    CatalogEntry(
+        "T3",
+        "w(A)^2 <= || (|A|^2+|A*|^2)/2 || - m(((|A|-|A*|)/2)^2)",
+        1,
+        lambda c, r: eval_bound_t3(c),
+    ),
     CatalogEntry(
         "T3-PRINTED",
         "w(A)^2 <= (|| |A|^2+|A*|^2 || - m((|A|-|A*|)^2))/2  [diagnostic, fails on the Jordan block]",
         1,
+        lambda c, r: eval_bound_t3_printed(c),
+        diagnostic=True,
     ),
     CatalogEntry(
         "FUNC",
         "f(w(A)) <= || g^{-1}((g(f(|A|)) + g(f(|A*|)))/2) || <= || f(|A|)+f(|A*|) ||/2",
         1,
+        lambda c, r: eval_functional_chain(c, power_sqrt_pair(r)),
+        takes_r=True,
     ),
     CatalogEntry(
         "COR",
         "w(A)^r <= || S + I - sqrt(2S+I) ||/2 <= || |A|^r+|A*|^r ||/2, "
         "S = |A|^r+|A*|^r+|A|^{r/2}+|A*|^{r/2}",
         1,
+        eval_chain_cor,
+        takes_r=True,
     ),
 )
 
-_ARITY = {entry.bound_id: entry.arity for entry in _CATALOG}
+_BY_ID = {entry.bound_id: entry for entry in _CATALOG}
 
 
 def catalog_list() -> tuple[CatalogEntry, ...]:
@@ -530,7 +557,7 @@ def catalog_list() -> tuple[CatalogEntry, ...]:
 def parse_bound_id(token: str) -> tuple[str, float | None]:
     """Split an id token like ``COR:3`` into base id and optional exponent."""
     base, sep, suffix = token.partition(":")
-    if base not in _ARITY:
+    if base not in _BY_ID:
         valid = ", ".join(entry.bound_id for entry in _CATALOG)
         raise ValueError(f"unknown bound id {token!r}; valid ids: {valid}")
     r = None
@@ -539,44 +566,51 @@ def parse_bound_id(token: str) -> tuple[str, float | None]:
             r = float(suffix)
         except ValueError:
             raise ValueError(f"bad exponent suffix in {token!r}") from None
-        if base not in ("COR", "FUNC"):
+        if not _BY_ID[base].takes_r:
             raise ValueError(f"bound {base} takes no exponent suffix")
         if r < 2:
             raise ValueError("exponent r must be at least 2")
     return base, r
 
 
+def catalog_entry(token: str) -> CatalogEntry:
+    """The registry entry an id token such as ``COR:3`` names."""
+    return _BY_ID[parse_bound_id(token)[0]]
+
+
 def evaluate(token: str, a, cfg: RadiusConfig | None = None, r: float = 2.0):
     """Evaluate a single-matrix catalog entry by id (``COR:3`` style suffixes
     override the exponent).  Arity-2 lemmas cannot be evaluated here."""
     base, suffix_r = parse_bound_id(token)
-    if _ARITY[base] != 1:
+    entry = _BY_ID[base]
+    if entry.evaluator is None:
         raise ValueError(f"bound {base} needs two matrices")
     use_r = suffix_r if suffix_r is not None else float(r)
-    c = _ctx(a, cfg)
-    if base == "B0":
-        return eval_chain_b0(c)
-    if base == "KIT":
-        return eval_bound_kit(c)
-    if base == "SQ":
-        return eval_chain_sq(c)
-    if base == "LEM1+":
-        return eval_bound_lem1(c, 1)
-    if base == "LEM1-":
-        return eval_bound_lem1(c, -1)
-    if base == "T1":
-        return eval_chain_t1(c)
-    if base == "T2":
-        return eval_chain_t2(c)
-    if base == "T3":
-        return eval_bound_t3(c)
-    if base == "T3-PRINTED":
-        return eval_bound_t3_printed(c)
-    if base == "FUNC":
-        return eval_functional_chain(c, power_sqrt_pair(use_r))
-    if base == "COR":
-        return eval_chain_cor(c, use_r)
-    raise AssertionError(f"unhandled bound id {base}")
+    return entry.evaluator(_ctx(a, cfg), use_r)
+
+
+def summary_row(report) -> tuple[float, float, float, bool]:
+    """(lhs, rhs, slack, violated) of a report on one line: a chain shows its
+    binding link (the smallest slack) and is violated if any link is."""
+    link = report
+    if isinstance(report, ChainReport):
+        link = min(report.links, key=lambda link: link.slack)
+    return link.lhs, link.rhs, link.slack, report.violated
+
+
+def report_dict(token: str, report) -> dict:
+    """JSON-ready form of a report, filed under the id token that asked for it."""
+    if isinstance(report, ChainReport):
+        return {
+            "bound_id": token,
+            "kind": "chain",
+            "terms": list(report.terms),
+            "links": [dataclasses.asdict(link) for link in report.links],
+            "violated": report.violated,
+        }
+    fields = dataclasses.asdict(report)
+    del fields["bound_id"]
+    return {"bound_id": token, "kind": "bound", **fields}
 
 
 # Catalog-cased aliases so callers can use the registry ids verbatim.

@@ -27,11 +27,9 @@ EXIT_INPUT = 1
 EXIT_UNREACHED = 2
 EXIT_VIOLATION = 3
 
-DIAGNOSTIC_IDS = frozenset({"T3-PRINTED"})
-
 # catalog entries a study can run; the sound single-matrix subset
-STUDY_DEFAULT_BOUNDS = (
-    "B0", "KIT", "SQ", "LEM1+", "LEM1-", "T1", "T2", "T3", "FUNC", "COR",
+STUDY_DEFAULT_BOUNDS = tuple(
+    e.bound_id for e in catalog.catalog_list() if e.arity == 1 and not e.diagnostic
 )
 
 
@@ -216,46 +214,8 @@ def cmd_bounds(args) -> int:
     cfg = _radius_cfg(args)
     tokens, skipped = _split_bound_tokens(args.bounds, ())
     ctx = catalog.MatrixContext(m, cfg)
-
-    rows = []       # summary per token: binding link of a chain
-    details = []    # full report objects for json output
-    for token in tokens:
-        result = catalog.evaluate(token, ctx, cfg, r=args.r)
-        if isinstance(result, catalog.ChainReport):
-            binding = min(result.links, key=lambda link: link.slack)
-            rows.append((token, binding.lhs, binding.rhs, binding.slack, result.violated))
-            details.append(
-                {
-                    "bound_id": token,
-                    "kind": "chain",
-                    "terms": list(result.terms),
-                    "links": [
-                        {
-                            "bound_id": l.bound_id,
-                            "lhs": l.lhs,
-                            "rhs": l.rhs,
-                            "slack": l.slack,
-                            "violated": l.violated,
-                            "tolerance_used": l.tolerance_used,
-                        }
-                        for l in result.links
-                    ],
-                    "violated": result.violated,
-                }
-            )
-        else:
-            rows.append((token, result.lhs, result.rhs, result.slack, result.violated))
-            details.append(
-                {
-                    "bound_id": token,
-                    "kind": "bound",
-                    "lhs": result.lhs,
-                    "rhs": result.rhs,
-                    "slack": result.slack,
-                    "violated": result.violated,
-                    "tolerance_used": result.tolerance_used,
-                }
-            )
+    reports = [(token, catalog.evaluate(token, ctx, cfg, r=args.r)) for token in tokens]
+    rows = [(token, *catalog.summary_row(rep)) for token, rep in reports]
 
     if args.output == "human":
         lines = [f"{'bound_id':<12} {'lhs':>14} {'rhs':>14} {'slack':>14} status"]
@@ -276,11 +236,12 @@ def cmd_bounds(args) -> int:
             )
         text = "\n".join(lines) + "\n"
     else:
+        details = [catalog.report_dict(token, rep) for token, rep in reports]
         text = matio.json_encode({"bounds": details, "skipped": skipped}) + "\n"
     _emit(text, args.out)
 
     bad = any(
-        violated and catalog.parse_bound_id(token)[0] not in DIAGNOSTIC_IDS
+        violated and not catalog.catalog_entry(token).diagnostic
         for token, _, _, _, violated in rows
     )
     return EXIT_VIOLATION if bad else EXIT_OK
@@ -293,7 +254,7 @@ def cmd_study(args) -> int:
         seed=args.seed,
     )
     tokens, _ = _split_bound_tokens(args.bounds, STUDY_DEFAULT_BOUNDS)
-    report = ensembles.run_study(spec, tokens, cfg)
+    report = ensembles.run_study(spec, tokens, cfg, r=args.r)
 
     if args.output == "csv":
         text = ensembles.to_csv(report)
@@ -319,7 +280,7 @@ def cmd_study(args) -> int:
     _emit(text, args.out)
 
     bad = any(
-        catalog.parse_bound_id(row.bound_id)[0] not in DIAGNOSTIC_IDS
+        not catalog.catalog_entry(row.bound_id).diagnostic
         for row in report.violations
     )
     return EXIT_VIOLATION if bad else EXIT_OK
@@ -362,7 +323,7 @@ def main(argv=None) -> int:
     except (matio.MatrixFormatError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except ConvergenceError as exc:
+    except (ConvergenceError, catalog.IdentityCheckError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except EnclosureNotReached as exc:

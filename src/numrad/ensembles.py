@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bounds
-from .linalg import ConvergenceError, operator_norm, _hermitize
+from .linalg import ConvergenceError, DomainError, _hermitize
 from .matio import g17, json_encode
 from .radius import EnclosureNotReached, RadiusConfig
 
@@ -141,34 +141,40 @@ def _rel_slack(row: StudyRow) -> float:
     return row.slack / max(1.0, abs(row.rhs))
 
 
-def _flatten(index: int, token: str, result) -> StudyRow:
-    if isinstance(result, bounds.ChainReport):
-        binding = min(result.links, key=lambda link: link.slack)
-        return StudyRow(
-            index, token, binding.lhs, binding.rhs, binding.slack, result.violated
-        )
-    return StudyRow(index, token, result.lhs, result.rhs, result.slack, result.violated)
+# Failures that end one draw; the study records them and moves on.
+_DRAW_FAILURES = (
+    ConvergenceError,
+    EnclosureNotReached,
+    np.linalg.LinAlgError,
+    bounds.IdentityCheckError,
+    DomainError,
+    bounds.HypothesisFailed,
+    bounds.NotPositiveError,
+)
 
 
 def run_study(
     spec: EnsembleSpec,
     bound_ids: tuple[str, ...] | list[str],
     cfg: RadiusConfig | None = None,
+    r: float = 2.0,
 ) -> StudyReport:
     """Evaluate the given catalog entries on every draw of the batch.
 
-    Draws where a decomposition fails to certify or the radius enclosure
-    cannot reach its target are recorded under ``failures`` and skipped; a
-    violated bound is data, not a failure.
+    ``r`` is the exponent for COR/FUNC ids given without a ``:r`` suffix.
+    Draws where a decomposition fails to certify, the radius enclosure
+    cannot reach its target, or a catalog entry rejects the matrix (identity
+    cross-check, function domain, hypothesis or positivity gate) are recorded
+    under ``failures`` and skipped; a violated bound is data, not a failure.
     """
     cfg = cfg or RadiusConfig()
     tokens = tuple(bound_ids)
     if not tokens:
         raise ValueError("bound_ids must name at least one catalog entry")
     for token in tokens:
-        base, _ = bounds.parse_bound_id(token)
-        if bounds._ARITY[base] != 1:
-            raise ValueError(f"bound {base} needs two matrices; studies draw one")
+        entry = bounds.catalog_entry(token)
+        if entry.arity != 1:
+            raise ValueError(f"bound {entry.bound_id} needs two matrices; studies draw one")
 
     start = time.perf_counter()
     rows: list[StudyRow] = []
@@ -177,11 +183,14 @@ def run_study(
         a = generate(spec, index)
         ctx = bounds.MatrixContext(a, cfg)
         try:
+            draw = []
             for token in tokens:
-                rows.append(_flatten(index, token, bounds.evaluate(token, ctx, cfg)))
-        except (ConvergenceError, EnclosureNotReached, np.linalg.LinAlgError) as exc:
+                report = bounds.evaluate(token, ctx, cfg, r)
+                draw.append(StudyRow(index, token, *bounds.summary_row(report)))
+        except _DRAW_FAILURES as exc:
             failures.append((index, repr(exc)))
-            rows = [r for r in rows if r.index != index]
+            continue
+        rows.extend(draw)
     elapsed = time.perf_counter() - start
 
     violations = tuple(r for r in rows if r.violated)
@@ -267,25 +276,20 @@ def tightness_compare(a, cfg: RadiusConfig | None = None) -> dict:
     Returns the squared radius, the candidate bounds on its either side, and
     which candidate is sharpest (largest lower, smallest upper)."""
     ctx = bounds._ctx(a, cfg)
-    omega_sq = ctx.omega.lower ** 2
-    t1_mid = (ctx.norm_plus ** 2 + ctx.norm_minus ** 2) / 8.0
-    t2_mid = 0.5 * math.sqrt(
-        2.0 * ctx.omega.lower ** 4 + ctx.omega_quad.lower / 8.0
-    )
-    kit_rhs = 0.5 * operator_norm(ctx.abs_left + ctx.abs_right)
+    rep = {bid: bounds.evaluate(bid, ctx) for bid in ("B0", "SQ", "T1", "T2", "T3", "KIT")}
     lower = {
-        "B0": (0.5 * ctx.norm) ** 2,
-        "SQ": 0.25 * ctx.gram_norm,
-        "T1": t1_mid,
-        "T2": t2_mid,
+        "B0": rep["B0"].terms[0] ** 2,
+        "SQ": rep["SQ"].terms[0],
+        "T1": rep["T1"].terms[1],
+        "T2": rep["T2"].terms[1],
     }
     upper = {
-        "SQ": 0.5 * ctx.gram_norm,
-        "T3": 0.5 * ctx.gram_norm - 0.25 * ctx.abs_diff_sq_min,
-        "KIT": kit_rhs ** 2,
+        "SQ": rep["SQ"].terms[2],
+        "T3": rep["T3"].rhs,
+        "KIT": rep["KIT"].rhs ** 2,
     }
     return {
-        "omega_sq": omega_sq,
+        "omega_sq": rep["SQ"].terms[1],
         "lower_bounds_sq": lower,
         "upper_bounds_sq": upper,
         "sharpest_lower": max(lower, key=lower.get),

@@ -176,28 +176,30 @@ def _apply_to_values(f: Callable[[np.ndarray], np.ndarray], w: np.ndarray) -> np
     return vals
 
 
+def from_spectrum(v: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """V diag(vals) V* for real ``vals``, symmetrized to be exactly Hermitian."""
+    return _hermitize((v * vals) @ v.conj().T)
+
+
 def apply_herm_fn(h, f: Callable) -> np.ndarray:
     """Spectral functional calculus f(H) = V f(diag w) V* for Hermitian H."""
     eig = herm_eigen(h)
     vals = _apply_to_values(f, eig.eigenvalues)
-    v = eig.eigenvectors
-    return _hermitize((v * vals) @ v.conj().T)
+    return from_spectrum(eig.eigenvectors, vals)
 
 
 def abs_left(a) -> np.ndarray:
     """|A| = (A*A)^(1/2), built from the SVD as V diag(s) V*."""
     m = as_square(a)
     fac = svd(m)
-    v = fac.right_vectors
-    return _hermitize((v * fac.singular_values) @ v.conj().T)
+    return from_spectrum(fac.right_vectors, fac.singular_values)
 
 
 def abs_right(a) -> np.ndarray:
     """|A*| = (AA*)^(1/2), built from the SVD as U diag(s) U*."""
     m = as_square(a)
     fac = svd(m)
-    u = fac.left_vectors
-    return _hermitize((u * fac.singular_values) @ u.conj().T)
+    return from_spectrum(fac.left_vectors, fac.singular_values)
 
 
 def m_min(h) -> float:

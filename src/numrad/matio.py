@@ -32,8 +32,6 @@ def g17(x: float) -> str:
     return format(float(x), ".17g")
 
 
-_fmt = g17
-
 
 def json_encode(value, indent: int = 0) -> str:
     """JSON text with every float at 17 significant digits.
@@ -152,7 +150,7 @@ def dumps_matrix_market(a, comment: str | None = None) -> str:
         out.extend("% " + line for line in comment.splitlines())
     out.append(f"{rows} {cols}")
     flat = m.T.reshape(-1)  # column-major
-    out.extend(f"{_fmt(z.real)} {_fmt(z.imag)}" for z in flat)
+    out.extend(f"{g17(z.real)} {g17(z.imag)}" for z in flat)
     return "\n".join(out) + "\n"
 
 
@@ -195,7 +193,7 @@ def dumps_json_matrix(a) -> str:
     m = as_matrix(a)
     rows, cols = m.shape
     pairs = ", ".join(
-        f"[{_fmt(z.real)}, {_fmt(z.imag)}]" for z in m.reshape(-1)
+        f"[{g17(z.real)}, {g17(z.imag)}]" for z in m.reshape(-1)
     )
     return f'{{"rows": {rows}, "cols": {cols}, "data": [{pairs}]}}\n'
 

@@ -11,10 +11,11 @@ grid angle lies within h/2 of -arg(z), so
 
     w(A) <= max_k g(theta_k) / cos(h/2),            h = 2 pi / N.
 
-That bound is second order in h.  The first-order Lipschitz bound
-max_k g + ||A|| h / 2 (g is ||A||-Lipschitz) is kept as a fallback and the
-reported upper endpoint is the smaller of the two plus a kernel-accuracy
-slack of RESIDUAL_FACTOR * n * eps * ||A||.
+That bound is second order in h, and the reported upper endpoint is it plus
+a kernel-accuracy slack of RESIDUAL_FACTOR * n * eps * ||A||.  It is never
+looser than the first-order Lipschitz bound max_k g + ||A|| h / 2 (g is
+||A||-Lipschitz): for 0 <= g <= ||A||, g (sec(h/2) - 1) <= ||A|| h / 2 at
+every allowed h, so no fallback to it is needed.
 
 Grid refinement doubles the conceptual grid until the enclosure meets the
 requested width, but only re-evaluates intervals whose local certificate
@@ -197,11 +198,10 @@ def radius_sample_oracle(a, samples: int, seed: int = 0) -> float:
     return best
 
 
-def _grid_upper(lower: float, norm: float, h: float, slack: float) -> float:
-    """Certified upper endpoint for a full uniform grid with max value ``lower``."""
-    secant = max(lower, 0.0) / np.cos(h / 2.0)
-    first_order = lower + norm * h / 2.0
-    return min(secant, first_order) + slack
+def _grid_upper(peak, h: float, slack: float):
+    """Certified upper bound over an angle interval of width h whose envelope
+    maximum at the grid points is ``peak`` (scalar or array)."""
+    return np.maximum(peak, 0.0) / np.cos(h / 2.0) + slack
 
 
 def radius_sweep(a, cfg: RadiusConfig | None = None) -> RadiusEstimate:
@@ -222,7 +222,7 @@ def radius_sweep(a, cfg: RadiusConfig | None = None) -> RadiusEstimate:
     k = int(np.argmax(g))
     lower = float(g[k])
     slack = RESIDUAL_FACTOR * n * EPS * norm
-    upper = _grid_upper(lower, norm, TWO_PI / nn, slack)
+    upper = _grid_upper(lower, TWO_PI / nn, slack)
     _, witness = _top_vector(m, mh, float(thetas[k]))
     return RadiusEstimate(
         lower=lower,
@@ -292,11 +292,7 @@ def numerical_radius(a, cfg: RadiusConfig | None = None) -> RadiusEstimate:
 
     while True:
         if lefts.size:
-            peak = np.maximum(gl, gr)
-            certs = np.minimum(
-                np.maximum(peak, 0.0) / np.cos(h / 2.0),
-                peak + norm * h / 2.0,
-            ) + slack
+            certs = _grid_upper(np.maximum(gl, gr), h, slack)
             upper = max(lower, float(certs.max()))
         else:
             certs = np.empty(0)

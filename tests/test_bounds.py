@@ -9,6 +9,7 @@ from numrad.bounds import (
     ChainReport,
     FunctionPair,
     HypothesisFailed,
+    IdentityCheckError,
     MatrixContext,
     NotPositiveError,
     catalog_list,
@@ -270,6 +271,43 @@ def test_parse_bound_id():
         parse_bound_id("COR:abc")
     with pytest.raises(ValueError):
         parse_bound_id("COR:1")
+
+
+@pytest.mark.parametrize("entry", catalog_list(), ids=lambda e: e.bound_id)
+def test_registry_drives_evaluate(entry):
+    if entry.arity == 1:
+        rep = evaluate(entry.bound_id, J)
+        assert isinstance(rep, (BoundReport, ChainReport))
+        assert rep.violated == entry.diagnostic
+    else:
+        assert entry.evaluator is None
+        with pytest.raises(ValueError, match="needs two matrices"):
+            evaluate(entry.bound_id, J)
+
+
+def test_registry_flags():
+    assert {e.bound_id for e in catalog_list() if e.diagnostic} == {"T3-PRINTED"}
+    assert [e.bound_id for e in catalog_list() if e.takes_r] == ["FUNC", "COR"]
+
+
+def test_evaluate_forwards_exponent(rng):
+    ctx = _ctx(random_complex(rng, 3))
+    for base in ("COR", "FUNC"):
+        bare = evaluate(base, ctx, r=3.0)
+        assert bare.terms == evaluate(f"{base}:3", ctx).terms
+        assert bare.terms != evaluate(base, ctx).terms
+        # a suffix overrides the keyword
+        assert evaluate(f"{base}:2", ctx, r=3.0).terms == evaluate(base, ctx).terms
+
+
+def test_t2_checks_the_cartesian_identity_on_matrices(rng):
+    ctx = _ctx(random_complex(rng, 4))
+    eval_chain_t2(ctx)
+    bumped = ctx.c2b2.copy()
+    bumped[0, 0] += 1e-6 * max(1.0, operator_norm(ctx.quad_product))
+    ctx.__dict__["c2b2"] = bumped
+    with pytest.raises(IdentityCheckError):
+        eval_chain_t2(ctx)
 
 
 def test_evaluate_dispatch(rng):

@@ -13,6 +13,23 @@ from numrad.matio import save_matrix
 
 J = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 
+CATALOG_CSV = """\
+id,arity,description
+B0,1,"||A||/2 <= w(A) <= ||A||"
+KIT,1,"w(A) <= || |A| + |A*| || / 2"
+SQ,1,"|| |A|^2+|A*|^2 ||/4 <= w(A)^2 <= || |A|^2+|A*|^2 ||/2"
+LEM1+,1,"||A + A*||/2 <= w(A)"
+LEM1-,1,"||A - A*||/2 <= w(A)"
+T1,1,"|| |A|^2+|A*|^2 ||/4 <= (||A+A*||^2 + ||A-A*||^2)/8 <= w(A)^2"
+LEM-SUM,2,"||A+B|| <= sqrt(||A*A + B*B|| + 2 w(B*A))"
+T2,1,"|| |A|^2+|A*|^2 ||/4 <= sqrt(2 w(A)^4 + w((A*-A)^2(A*+A)^2)/8)/2 <= w(A)^2"
+LEM-POSDIFF,2,"||P - Q|| <= max(||P||,||Q||) - min(m(P), m(Q)) for PSD P, Q"
+T3,1,"w(A)^2 <= || (|A|^2+|A*|^2)/2 || - m(((|A|-|A*|)/2)^2)"
+T3-PRINTED,1,"w(A)^2 <= (|| |A|^2+|A*|^2 || - m((|A|-|A*|)^2))/2  [diagnostic, fails on the Jordan block]"
+FUNC,1,"f(w(A)) <= || g^{-1}((g(f(|A|)) + g(f(|A*|)))/2) || <= || f(|A|)+f(|A*|) ||/2"
+COR,1,"w(A)^r <= || S + I - sqrt(2S+I) ||/2 <= || |A|^r+|A*|^r ||/2, S = |A|^r+|A*|^r+|A|^{r/2}+|A*|^{r/2}"
+"""
+
 
 @pytest.fixture
 def jordan_mtx(tmp_path):
@@ -216,8 +233,8 @@ def test_study_violation_exit_3(monkeypatch, capsys):
 
     real_run = numrad.cli.ensembles.run_study
 
-    def rigged(spec, bound_ids, cfg=None):
-        report = real_run(spec, bound_ids, cfg)
+    def rigged(spec, bound_ids, cfg=None, r=2.0):
+        report = real_run(spec, bound_ids, cfg, r)
         bad = StudyRow(0, "T1", 1.0, 0.0, -1.0, True)
         return type(report)(
             spec=report.spec, bound_ids=report.bound_ids, rows=report.rows,
@@ -239,6 +256,39 @@ def test_catalog_13_lines(capsys):
     lines = [l for l in capsys.readouterr().out.splitlines() if l]
     assert len(lines) == 13
     assert lines[0].startswith("B0")
+
+
+def test_catalog_csv_text(capsys):
+    assert main(["catalog", "--output", "csv"]) == 0
+    assert capsys.readouterr().out == CATALOG_CSV
+
+
+def test_study_default_bounds():
+    assert numrad.cli.STUDY_DEFAULT_BOUNDS == (
+        "B0", "KIT", "SQ", "LEM1+", "LEM1-", "T1", "T2", "T3", "FUNC", "COR",
+    )
+
+
+def test_study_r_flag_reaches_bare_ids(capsys):
+    base = ["study", "--family", "ginibre", "--dim", "3", "--count", "1",
+            "--seed", "0", "--output", "csv"]
+    assert main(base + ["--bounds", "COR,FUNC", "--r", "3"]) == 0
+    bare = [l.split(",") for l in capsys.readouterr().out.splitlines()[1:]]
+    assert main(base + ["--bounds", "COR:3,FUNC:3"]) == 0
+    suffixed = [l.split(",") for l in capsys.readouterr().out.splitlines()[1:]]
+    # the token stays as typed; the numbers are the r = 3 ones
+    assert [row[1] for row in bare] == ["COR", "FUNC"]
+    assert [row[2:] for row in bare] == [row[2:] for row in suffixed]
+    assert float(bare[0][2]) == pytest.approx(26.64, abs=0.01)
+
+
+def test_identity_check_error_exits_1(jordan_mtx, capsys, monkeypatch):
+    def broken(*a, **k):
+        raise numrad.bounds.IdentityCheckError("routes disagree")
+
+    monkeypatch.setattr(numrad.bounds, "evaluate", broken)
+    assert main(["bounds", "--input", jordan_mtx, "--bounds", "T2"]) == 1
+    assert "error: routes disagree" in capsys.readouterr().err
 
 
 def test_catalog_json(capsys):

@@ -3,6 +3,8 @@ import json
 import numpy as np
 import pytest
 
+import numrad.bounds
+from numrad.bounds import HypothesisFailed, IdentityCheckError, MatrixContext, NotPositiveError
 from numrad.ensembles import (
     FAMILIES,
     EnsembleSpec,
@@ -13,6 +15,7 @@ from numrad.ensembles import (
     to_csv,
     to_json,
 )
+from numrad.linalg import DomainError
 from numrad.radius import RadiusConfig
 
 J = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
@@ -142,6 +145,25 @@ def test_run_study_records_failures():
     assert "EnclosureNotReached" in report.failures[0][1]
 
 
+@pytest.mark.parametrize(
+    "exc", [IdentityCheckError, DomainError, HypothesisFailed, NotPositiveError]
+)
+def test_run_study_records_catalog_failures(exc, monkeypatch):
+    # a catalog entry rejecting one draw ends that draw, not the study
+    real = numrad.bounds.evaluate
+
+    def flaky(token, ctx, *args, **kwargs):
+        if np.array_equal(ctx.a, generate(spec, 1)):
+            raise exc("rejected")
+        return real(token, ctx, *args, **kwargs)
+
+    spec = EnsembleSpec("ginibre", 2, 3, seed=4)
+    monkeypatch.setattr(numrad.bounds, "evaluate", flaky)
+    report = run_study(spec, ["B0", "KIT"], FAST)
+    assert [r.index for r in report.rows] == [0, 0, 2, 2]
+    assert report.failures == ((1, repr(exc("rejected"))),)
+
+
 def test_csv_deterministic():
     spec = EnsembleSpec("ginibre", 3, 6, seed=11)
     r1 = run_study(spec, ["B0", "T2", "COR:2"], FAST)
@@ -171,8 +193,27 @@ def test_json_report_round_trip():
         assert row_obj["slack"] == row.slack
 
 
+def _assert_reads_catalog(out, a, cfg=None):
+    ctx = MatrixContext(a, cfg)
+    ids = ("B0", "SQ", "T1", "T2", "T3", "KIT")
+    rep = {bid: numrad.bounds.evaluate(bid, ctx) for bid in ids}
+    assert out["omega_sq"] == ctx.omega.lower ** 2
+    assert out["lower_bounds_sq"] == {
+        "B0": rep["B0"].terms[0] ** 2,
+        "SQ": rep["SQ"].terms[0],
+        "T1": rep["T1"].terms[1],
+        "T2": rep["T2"].terms[1],
+    }
+    assert out["upper_bounds_sq"] == {
+        "SQ": rep["SQ"].terms[2],
+        "T3": rep["T3"].rhs,
+        "KIT": rep["KIT"].rhs ** 2,
+    }
+
+
 def test_tightness_compare_jordan():
     out = tightness_compare(J)
+    _assert_reads_catalog(out, J)
     assert out["omega_sq"] == pytest.approx(0.25, abs=1e-9)
     for val in out["lower_bounds_sq"].values():
         assert val == pytest.approx(0.25, abs=1e-9)
@@ -185,6 +226,7 @@ def test_tightness_compare_jordan():
 def test_tightness_compare_hermitian():
     h = generate(EnsembleSpec("gue", 5, 1, seed=13), 0)
     out = tightness_compare(h, FAST)
+    _assert_reads_catalog(out, h, FAST)
     # Hermitian case: the T2 refinement strictly beats T1
     assert out["lower_bounds_sq"]["T2"] > out["lower_bounds_sq"]["T1"]
     assert out["sharpest_lower"] == "T2"

@@ -8,7 +8,9 @@ from numrad.linalg import operator_norm
 from numrad.radius import (
     EnclosureNotReached,
     GRID_CAP,
+    TWO_PI,
     RadiusConfig,
+    _envelope_gvals,
     herm_envelope,
     numerical_radius,
     radius_refine,
@@ -226,3 +228,17 @@ def test_oracle_assist_stays_sound(rng):
     plain = numerical_radius(a)
     assert with_oracle.lower <= with_oracle.upper
     assert with_oracle.lower == pytest.approx(plain.lower, abs=1e-9 * max(1.0, plain.upper))
+
+
+def test_secant_certificate_never_looser_than_lipschitz(rng):
+    # the fact that makes a first-order fallback g + ||A|| h / 2 dead: on every
+    # non-negative envelope value at every allowed grid, the secant bound wins
+    mats = [J, shift_matrix(4)] + [random_complex(rng, n) for n in (1, 2, 3, 5, 8)]
+    for a in mats:
+        nrm = operator_norm(a)
+        for nn in (8, 16, 32, 64, 128, 256, 512, 1024):
+            h = TWO_PI / nn
+            g = _envelope_gvals(a, a.conj().T, np.arange(nn) * h)
+            g = g[g >= 0.0]
+            assert g.size
+            assert np.all(g / np.cos(h / 2.0) <= g + nrm * h / 2.0)
