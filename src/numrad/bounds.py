@@ -30,6 +30,7 @@ from typing import Callable
 import numpy as np
 
 from .linalg import (
+    DomainError,
     apply_herm_fn,
     as_square,
     cartesian_decomp,
@@ -179,6 +180,15 @@ def _check_pair_hypotheses(fp: FunctionPair) -> None:
         raise HypothesisFailed(f"g_inverse is not increasing on the check grid ({fp.name})")
 
 
+def _finite_product(m: np.ndarray, name: str) -> np.ndarray:
+    """``m`` unchanged; raises DomainError if it overflowed to a non-finite
+    entry, so the failure names the product instead of the generic input
+    gate of the enclosure that would read it."""
+    if not np.all(np.isfinite(m)):
+        raise DomainError(f"{name} is not finite in double precision (entries overflow)")
+    return m
+
+
 class MatrixContext:
     """Caches the decompositions shared by the bound evaluations of one
     matrix: adjoint, SVD, polar absolute values, Cartesian split, and the
@@ -248,7 +258,9 @@ class MatrixContext:
         """(A* - A)^2 (A* + A)^2."""
         d = self.ah - self.a
         s = self.ah + self.a
-        return d @ d @ s @ s
+        with np.errstate(over="ignore", invalid="ignore"):
+            prod = d @ d @ s @ s
+        return _finite_product(prod, "(A* - A)^2 (A* + A)^2")
 
     @cached_property
     def omega_quad(self) -> RadiusEstimate:
@@ -257,7 +269,9 @@ class MatrixContext:
     @cached_property
     def c2b2(self) -> np.ndarray:
         b, c = self.cartesian
-        return c @ c @ b @ b
+        with np.errstate(over="ignore", invalid="ignore"):
+            prod = c @ c @ b @ b
+        return _finite_product(prod, "C^2 B^2")
 
     @cached_property
     def omega_c2b2(self) -> RadiusEstimate:

@@ -60,7 +60,9 @@ def _add_matrix_flags(sp) -> None:
 
 
 def _add_radius_flags(sp) -> None:
-    sp.add_argument("--grid", type=int, default=1024, help="initial sweep size")
+    sp.add_argument(
+        "--grid", type=int, default=RadiusConfig.grid_points, help="initial sweep size"
+    )
     sp.add_argument("--width", type=float, default=None, help="enclosure width target")
     sp.add_argument("--seed", type=int, default=0, help="oracle seed")
     sp.add_argument("--samples", type=int, default=0, help="random oracle samples")
@@ -104,7 +106,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--bounds", default=None, metavar="IDS",
         help="comma-separated catalog ids (default: all sound single-matrix entries)",
     )
-    sp.add_argument("--grid", type=int, default=1024, help="initial sweep size")
+    sp.add_argument(
+        "--grid", type=int, default=RadiusConfig.grid_points, help="initial sweep size"
+    )
     sp.add_argument("--width", type=float, default=None, help="enclosure width target")
     sp.add_argument("--samples", type=int, default=0, help="random oracle samples")
     sp.add_argument("--r", type=float, default=2.0, help="exponent for COR/FUNC")

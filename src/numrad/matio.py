@@ -16,6 +16,7 @@ numbers.
 from __future__ import annotations
 
 import json
+import math
 import os
 
 import numpy as np
@@ -130,7 +131,7 @@ def loads_matrix_market(text: str):
                 z = complex(float(parts[0]), 0.0)
         except ValueError:
             raise MatrixFormatError(f"line {j + 1}: unparseable number") from None
-        if not (np.isfinite(z.real) and np.isfinite(z.imag)):
+        if not (math.isfinite(z.real) and math.isfinite(z.imag)):
             raise MatrixFormatError(f"line {j + 1}: non-finite value")
         values[got] = z
         got += 1

@@ -22,7 +22,10 @@ requested width, but only re-evaluates intervals whose local certificate
 max(g_left, g_right, 0)/cos(h/2) still exceeds the best certified lower
 bound; discarded intervals provably cannot contain the maximizer, so the
 enclosure stays sound.  Rayleigh ascent (theta <- -arg<Ax,x>, x <- top
-eigenvector of H(theta)) only ever raises the lower bound.
+eigenvector of H(theta)) only ever raises the lower bound.  It starts from
+the vertex of the parabola through the sweep peak and its two neighbours
+when the top eigenvalue there beats the peak; every lambda_max(H(theta)) is
+a lower bound, so the warm start cannot break the certificate.
 """
 
 from __future__ import annotations
@@ -39,8 +42,10 @@ TWO_PI = 2.0 * np.pi
 # Hard cap on the conceptual grid size during enclosure refinement.
 GRID_CAP = 2 ** 20
 
-# Batch size for vectorized envelope eigenvalue sweeps.
+# Batch limits for vectorized envelope eigenvalue sweeps: at most this many
+# matrices, and at most this many bytes of n x n complex matrices, per batch.
 _SWEEP_CHUNK = 8192
+_SWEEP_BYTES = 64 * 2 ** 20
 
 # Sample batch for the randomized Rayleigh oracle.
 _ORACLE_CHUNK = 20000
@@ -67,7 +72,7 @@ class RadiusConfig:
     lower-bound pass seeded by ``seed``.
     """
 
-    grid_points: int = 1024
+    grid_points: int = 64
     target_width: float | None = None
     target_width_rel: float | None = None
     max_refinement_iters: int = 200
@@ -125,17 +130,48 @@ def herm_envelope(a, theta: float) -> np.ndarray:
 def _envelope_gvals(m: np.ndarray, mh: np.ndarray, thetas: np.ndarray) -> np.ndarray:
     """lambda_max(H(theta)) for a batch of angles."""
     out = np.empty(thetas.size)
-    for s in range(0, thetas.size, _SWEEP_CHUNK):
-        ph = np.exp(1j * thetas[s : s + _SWEEP_CHUNK])
+    chunk = _sweep_chunk(m.shape[0])
+    for s in range(0, thetas.size, chunk):
+        ph = np.exp(1j * thetas[s : s + chunk])
         h = 0.5 * (ph[:, None, None] * m + np.conj(ph)[:, None, None] * mh)
-        out[s : s + _SWEEP_CHUNK] = np.linalg.eigvalsh(h)[:, -1]
+        out[s : s + chunk] = np.linalg.eigvalsh(h)[:, -1]
     return out
+
+
+def _sweep_chunk(n: int) -> int:
+    """Matrices per sweep batch for n x n inputs, within both batch limits."""
+    return max(1, min(_SWEEP_CHUNK, _SWEEP_BYTES // (16 * n * n)))
 
 
 def _top_vector(m: np.ndarray, mh: np.ndarray, theta: float) -> tuple[float, np.ndarray]:
     ph = np.exp(1j * theta)
     w, v = np.linalg.eigh(0.5 * (ph * m + np.conj(ph) * mh))
     return float(w[-1]), v[:, -1]
+
+
+def _warm_start(
+    m: np.ndarray, mh: np.ndarray, gl: np.ndarray, h: float
+) -> tuple[float, np.ndarray, float]:
+    """Starting point for the ascent from the uniform sweep ``gl`` at angles
+    k h, peaking (first) at index k.
+
+    Fits a parabola through gl[k] and its two periodic neighbours and takes
+    the top eigenpair at its vertex when that eigenvalue beats gl[k]; else the
+    top eigenpair at angle k h.  Either value is some lambda_max(H(.)), so it
+    is a valid lower bound.  Returns (lower, x, angle).
+    """
+    k = int(np.argmax(gl))
+    theta = k * h
+    left, peak, right = gl[k - 1], gl[k], gl[(k + 1) % gl.size]
+    curv = left - 2.0 * peak + right
+    if curv < 0.0:
+        # k is the argmax, so the vertex lies within h/2 of theta
+        vertex = theta + 0.5 * h * (left - right) / curv
+        val, x = _top_vector(m, mh, vertex)
+        if val > peak:
+            return val, x, vertex % TWO_PI
+    _, x = _top_vector(m, mh, theta)
+    return float(peak), x, theta
 
 
 def _ascend(
@@ -255,8 +291,9 @@ def radius_refine(a, est: RadiusEstimate, cfg: RadiusConfig | None = None) -> Ra
 
 
 def numerical_radius(a, cfg: RadiusConfig | None = None) -> RadiusEstimate:
-    """Certified enclosure of w(A): sweep, Rayleigh refinement, then grid
-    doubling (with interval pruning) until upper - lower <= target width.
+    """Certified enclosure of w(A): sweep, Rayleigh refinement from a
+    parabolic warm start, then grid doubling (with interval pruning) until
+    upper - lower <= target width.
 
     Raises :class:`EnclosureNotReached` carrying the best estimate if the
     grid cap of 2**20 points is insufficient.
@@ -276,10 +313,7 @@ def numerical_radius(a, cfg: RadiusConfig | None = None) -> RadiusEstimate:
     gl = _envelope_gvals(m, mh, lefts)
     gr = np.roll(gl, -1)
 
-    k = int(np.argmax(gl))
-    lower = float(gl[k])
-    theta = float(lefts[k])
-    _, x = _top_vector(m, mh, theta)
+    lower, x, theta = _warm_start(m, mh, gl, h)
     lower, x, theta, iters = _ascend(m, mh, x, lower, theta, cfg.max_refinement_iters, stop)
 
     if cfg.oracle_samples > 0:

@@ -10,6 +10,7 @@ import numrad.cli
 from numrad.bounds import BoundReport
 from numrad.cli import main
 from numrad.matio import save_matrix
+from numrad.radius import RadiusConfig, numerical_radius
 
 J = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 
@@ -60,6 +61,23 @@ def test_radius_json(jordan_mtx, capsys):
     assert obj["lower"] == pytest.approx(0.5, abs=1e-9)
     assert obj["upper"] - obj["lower"] <= 1e-9
     assert set(obj) >= {"lower", "upper", "width", "theta_star", "grid_points"}
+
+
+def test_radius_default_grid_is_config_default(jordan_mtx, capsys):
+    # without --grid the CLI runs exactly the library's default enclosure
+    assert main(["radius", "--input", jordan_mtx, "--output", "json"]) == 0
+    obj = json.loads(capsys.readouterr().out)
+    est = numerical_radius(J, RadiusConfig())
+    want = {
+        "lower": est.lower, "upper": est.upper, "width": est.width,
+        "theta_star": est.theta_star, "grid_points": est.grid_points,
+        "refinement_iters": est.refinement_iters,
+    }
+    assert obj == want
+    parser = numrad.cli.build_parser()
+    assert parser.parse_args(["radius", "--input", jordan_mtx]).grid == RadiusConfig().grid_points
+    study = parser.parse_args(["study", "--family", "gue", "--dim", "2", "--count", "1"])
+    assert study.grid == RadiusConfig().grid_points
 
 
 def test_radius_identity(eye3_json, capsys):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import numrad.bounds
+import numrad.ensembles
 from numrad.bounds import HypothesisFailed, IdentityCheckError, MatrixContext, NotPositiveError
 from numrad.ensembles import (
     FAMILIES,
@@ -162,6 +163,33 @@ def test_run_study_records_catalog_failures(exc, monkeypatch):
     report = run_study(spec, ["B0", "KIT"], FAST)
     assert [r.index for r in report.rows] == [0, 0, 2, 2]
     assert report.failures == ((1, repr(exc("rejected"))),)
+
+
+def test_run_study_records_overflowing_draw(monkeypatch):
+    # at scale 1e150 the fourth-order product of T2 overflows; that ends the
+    # draw with a DomainError naming the product, not the whole study
+    real = numrad.ensembles.generate
+    spec = EnsembleSpec("ginibre", 3, 3, seed=0)
+
+    def scaled(s, index):
+        a = real(s, index)
+        return a * 1e150 if index == 1 else a
+
+    monkeypatch.setattr(numrad.ensembles, "generate", scaled)
+    report = run_study(spec, ["B0", "T2"])
+    assert [r.index for r in report.rows] == [0, 0, 2, 2]
+    assert len(report.failures) == 1
+    index, text = report.failures[0]
+    assert index == 1
+    assert text.startswith("DomainError(") and "(A* - A)^2 (A* + A)^2" in text
+
+
+def test_context_products_reject_overflow():
+    ctx = MatrixContext(generate(EnsembleSpec("ginibre", 3, 1, seed=0), 0) * 1e150)
+    with pytest.raises(DomainError, match=r"\(A\* - A\)\^2"):
+        ctx.quad_product
+    with pytest.raises(DomainError, match=r"C\^2 B\^2"):
+        ctx.c2b2
 
 
 def test_csv_deterministic():

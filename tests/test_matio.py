@@ -105,6 +105,19 @@ def test_mm_malformed_names_line(text, line):
         loads_matrix_market(text)
 
 
+@pytest.mark.parametrize(
+    "entry,real",
+    [("inf 0", "inf"), ("0 -inf", "-inf"), ("nan nan", "nan"), ("1e999 0", "-1e999")],
+)
+def test_mm_non_finite_names_line(entry, real):
+    text = f"%%MatrixMarket matrix array complex general\n% note\n2 1\n1 0\n{entry}\n"
+    with pytest.raises(MatrixFormatError, match="^line 5: non-finite value$"):
+        loads_matrix_market(text)
+    text = f"%%MatrixMarket matrix array real general\n1 1\n{real}\n"
+    with pytest.raises(MatrixFormatError, match="^line 3: non-finite value$"):
+        loads_matrix_market(text)
+
+
 def test_json_reader_validation():
     with pytest.raises(MatrixFormatError, match="line 2:"):
         loads_json_matrix('{"rows": 1,\n "cols": }')

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+import numrad.radius
 from numrad.linalg import operator_norm
 from numrad.radius import (
     EnclosureNotReached,
@@ -11,6 +12,7 @@ from numrad.radius import (
     TWO_PI,
     RadiusConfig,
     _envelope_gvals,
+    _sweep_chunk,
     herm_envelope,
     numerical_radius,
     radius_refine,
@@ -242,3 +244,123 @@ def test_secant_certificate_never_looser_than_lipschitz(rng):
             g = g[g >= 0.0]
             assert g.size
             assert np.all(g / np.cos(h / 2.0) <= g + nrm * h / 2.0)
+
+
+@pytest.mark.parametrize("nilpotent,max_eigh", [(False, 20), (True, 40)])
+def test_eigensolve_budget(rng, monkeypatch, nilpotent, max_eigh):
+    # the default enclosure of a 32x32 draw: one small sweep, a few refinement
+    # levels over the surviving intervals, a short ascent.  Nilpotent draws
+    # ascend slowly: this one takes 22 eigh calls, 46 from the plain sweep peak.
+    a = random_complex(rng, 32)
+    if nilpotent:
+        a = np.triu(a, 1)
+    batches, eighs = [], []
+    gvals, top = numrad.radius._envelope_gvals, numrad.radius._top_vector
+
+    def counting_gvals(m, mh, thetas):
+        batches.append(thetas.size)
+        return gvals(m, mh, thetas)
+
+    def counting_top(m, mh, theta):
+        eighs.append(theta)
+        return top(m, mh, theta)
+
+    monkeypatch.setattr(numrad.radius, "_envelope_gvals", counting_gvals)
+    monkeypatch.setattr(numrad.radius, "_top_vector", counting_top)
+    est = numerical_radius(a)
+    assert batches[0] == RadiusConfig().grid_points
+    assert sum(batches) <= 200
+    assert len(eighs) <= max_eigh
+    assert est.width <= 1e-9 * max(1.0, operator_norm(a))
+
+
+def test_sweep_chunk_byte_budget():
+    # small inputs keep the 8192-matrix batches; large ones stay within 64 MiB
+    budget = 64 * 2 ** 20
+    for n in (1, 2, 13, 22):
+        assert _sweep_chunk(n) == 8192
+    for n in (23, 64, 128, 1000, 3000):
+        assert 1 <= _sweep_chunk(n) < 8192
+        assert _sweep_chunk(n) * 16 * n * n <= max(budget, 16 * n * n)
+    assert _sweep_chunk(128) == 256
+
+
+def test_chunked_sweep_matches_single_batch(rng, monkeypatch):
+    a = random_complex(rng, 4)
+    thetas = np.arange(50) * (TWO_PI / 50)
+    whole = _envelope_gvals(a, a.conj().T, thetas)
+    monkeypatch.setattr(numrad.radius, "_SWEEP_BYTES", 7 * 16 * 4 * 4)
+    assert _sweep_chunk(4) == 7
+    assert np.array_equal(_envelope_gvals(a, a.conj().T, thetas), whole)
+
+
+def _ellipse_radius(a):
+    """w(A) of a 2x2 matrix from the elliptical range theorem: W(A) is the
+    ellipse with foci l1, l2 and minor axis sqrt(tr(A*A) - |l1|^2 - |l2|^2);
+    its farthest boundary point from 0 is found by a dense sample refined by
+    golden-section search around every sampled local maximum."""
+    l1, l2 = np.linalg.eigvals(a)
+    center = 0.5 * (l1 + l2)
+    half_focal = 0.5 * abs(l1 - l2)
+    minor = math.sqrt(max(0.0, float(np.sum(np.abs(a) ** 2)) - abs(l1) ** 2 - abs(l2) ** 2))
+    b = 0.5 * minor
+    major = math.hypot(b, half_focal)
+    rot = np.exp(1j * np.angle(l1 - l2)) if l1 != l2 else 1.0
+
+    def mod(t):
+        return np.abs(center + rot * (major * np.cos(t) + 1j * b * np.sin(t)))
+
+    n = 4096
+    dt = TWO_PI / n
+    ts = np.arange(n) * dt
+    vals = mod(ts)
+    peaks = np.flatnonzero((vals >= np.roll(vals, 1)) & (vals >= np.roll(vals, -1)))
+    best = float(vals.max())
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    for k in peaks:
+        lo, hi = ts[k] - dt, ts[k] + dt
+        for _ in range(80):
+            c, d = hi - invphi * (hi - lo), lo + invphi * (hi - lo)
+            if mod(c) > mod(d):
+                hi = d
+            else:
+                lo = c
+        best = max(best, float(mod(0.5 * (lo + hi))))
+    return best
+
+
+def test_two_by_two_elliptical_range_oracle():
+    rng = np.random.default_rng(2023)
+    for k in range(50):
+        scale = 10.0 ** rng.uniform(-3, 3)
+        a = random_complex(rng, 2, scale)
+        if k % 5 == 0:
+            a[1, 0] = 0.0  # triangular: the minor axis is |a01|
+        w = _ellipse_radius(a)
+        est = numerical_radius(a)
+        tol = 1e-13 * max(1.0, w)
+        assert est.lower <= w + tol, (k, est.lower - w)
+        assert w <= est.upper + tol, (k, w - est.upper)
+        assert est.width <= 1e-9 * max(1.0, operator_norm(a))
+
+
+def test_elliptical_oracle_closed_forms():
+    # Jordan block: a disk of radius 1/2; diag(1, -2): the segment [-2, 1]
+    assert _ellipse_radius(J) == pytest.approx(0.5, abs=1e-15)
+    assert _ellipse_radius(np.diag([1.0, -2.0]).astype(complex)) == pytest.approx(2.0, abs=1e-15)
+    # [[0, 2], [0, 1]]: foci 0 and 1, minor axis 2; the far vertex of the
+    # major axis gives w = 1/2 + sqrt(1 + 1/4), the golden ratio
+    a = np.array([[0.0, 2.0], [0.0, 1.0]], dtype=complex)
+    assert _ellipse_radius(a) == pytest.approx((1.0 + math.sqrt(5.0)) / 2.0, abs=1e-14)
+
+
+def test_warm_start_never_below_sweep(rng):
+    mats = [J, shift_matrix(6)] + [random_complex(rng, n) for n in (2, 3, 5, 8, 13, 20)]
+    mats.append(np.triu(random_complex(rng, 12), 1))
+    for a in mats:
+        cfg = RadiusConfig()
+        plain = radius_sweep(a, cfg)
+        est = numerical_radius(a, cfg)
+        assert est.lower >= plain.lower
+        got = abs(np.vdot(est.witness, a @ est.witness))
+        assert got == pytest.approx(est.lower, abs=1e-13 * max(1.0, est.lower))
