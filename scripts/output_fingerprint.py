@@ -1,0 +1,102 @@
+#!/usr/bin/env python3
+"""Write numrad's user-visible outputs on fixed inputs to a directory and
+print one sha256 per file, so two checkouts can be compared byte for byte.
+
+A refactor that must not change any output runs this on both checkouts and
+compares the printed lines (or ``diff -r`` the two directories):
+
+    PYTHONPATH=src python3 scripts/output_fingerprint.py OUTDIR
+
+Covered: study CSV and failures for every family at dims 2/5/13 with the
+default and the ``COR:3,FUNC:3`` id lists; ``bounds --bounds all`` in json,
+csv and human on the 2x2 Jordan block and a seeded 6x6 ginibre draw;
+``radius --output json`` on the 12 seed-1 ``enclose-large`` inputs of
+``bench/workloads.py``; the two-matrix lemmas and ``tightness_compare``.
+"""
+
+import os
+
+# One BLAS thread, set before numpy loads, so LAPACK results do not depend
+# on the thread count.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import contextlib
+import hashlib
+import io
+import pathlib
+import sys
+
+import numpy as np
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "bench"))
+
+import workloads  # noqa: E402  (bench/workloads.py)
+from numrad import bounds, cli, ensembles, matio  # noqa: E402
+
+STUDY_IDS = (cli.STUDY_DEFAULT_BOUNDS, ("COR:3", "FUNC:3"))
+STUDY_DIMS = (2, 5, 13)
+
+
+def _cli(argv) -> str:
+    """Exit status and standard error of an in-process CLI run."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        status = cli.main(argv)
+    return f"exit {status}\n{err.getvalue()}"
+
+
+def write_outputs(out: pathlib.Path) -> None:
+    for family in ensembles.FAMILIES:
+        for dim in STUDY_DIMS:
+            for k, ids in enumerate(STUDY_IDS):
+                spec = ensembles.EnsembleSpec(family, dim, 3, seed=dim)
+                rep = ensembles.run_study(spec, ids)
+                stem = out / f"study-{family}-{dim}-{k}"
+                stem.with_suffix(".csv").write_text(ensembles.to_csv(rep))
+                stem.with_suffix(".failures").write_text(repr(rep.failures))
+
+    jordan = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+    ginibre = ensembles.generate(ensembles.EnsembleSpec("ginibre", 6, 1, seed=7), 0)
+    for name, a in (("jordan", jordan), ("ginibre6", ginibre)):
+        src = out / f"{name}.json"
+        src.write_text(matio.dumps_json_matrix(a))
+        for fmt in ("json", "csv", "human"):
+            dst = out / f"bounds-{name}.{fmt}"
+            argv = ["bounds", "--input", str(src), "--bounds", "all", "--output", fmt]
+            (out / f"bounds-{name}-{fmt}.status").write_text(_cli(argv + ["--out", str(dst)]))
+        lemmas = {
+            "LEM-SUM": bounds.report_dict("LEM-SUM", bounds.eval_lemma_norm_sum(a, a.conj().T @ a)),
+            "LEM-POSDIFF": bounds.report_dict(
+                "LEM-POSDIFF",
+                bounds.eval_lemma_pos_diff(a.conj().T @ a, a @ a.conj().T),
+            ),
+            "tightness": ensembles.tightness_compare(a),
+        }
+        (out / f"lemmas-{name}.json").write_text(matio.json_encode(lemmas))
+
+    large = out / "enclose-large"
+    large.mkdir()
+    # each op runs `numrad radius --output json --out <family>-<n>.json`
+    for op in workloads.enclose_large(1, str(large)).cycle:
+        status, _ = op.run()
+        (large / (op.slot.replace("/", "-") + ".status")).write_text(f"exit {status}\n")
+
+
+def main() -> int:
+    if len(sys.argv) != 2:
+        print(__doc__.strip().splitlines()[0], file=sys.stderr)
+        print("usage: output_fingerprint.py OUTDIR (must not exist)", file=sys.stderr)
+        return 2
+    out = pathlib.Path(sys.argv[1])
+    out.mkdir(parents=True)
+    write_outputs(out)
+    for path in sorted(p for p in out.rglob("*") if p.is_file()):
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        print(f"{digest}  {path.relative_to(out)}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

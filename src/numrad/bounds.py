@@ -5,10 +5,11 @@ Registry ids (stable, used by the CLI and the study harness):
     B0, KIT, SQ, LEM1+, LEM1-, T1, LEM-SUM, T2, LEM-POSDIFF, T3,
     T3-PRINTED, FUNC, COR
 
-Radius values inside a report always show the certified lower endpoint of the
-enclosure.  For a link whose right-hand side contains a radius, the violation
-check also accepts the upper endpoint, so that one-sided enclosure
-uncertainty can never manufacture a false violation; the widening is folded
+Each entry is one function of the radii it reads, evaluated at the lower and
+at the upper endpoints of their enclosures.  A report shows each term's
+smaller value; a term's larger value scales the tolerance, and for a link's
+right-hand side the violation check also accepts it, so that enclosure
+uncertainty can never manufacture a false violation.  The widening is folded
 into ``tolerance_used`` which keeps ``violated == (lhs - rhs >
 tolerance_used)`` literally true for the reported numbers.
 
@@ -104,13 +105,30 @@ def _report(bound_id: str, lhs: float, rhs_low: float, rhs_high: float, tol: flo
     )
 
 
-def _chain(chain_id: str, lows: list[float], highs: list[float]) -> ChainReport:
+def _endpoints(terms: Callable, enclosures) -> tuple[list[float], list[float]]:
+    """The smaller and the larger value of each term of ``terms(*radii)``
+    over the lower and the upper endpoints of ``enclosures``."""
+    lo = [float(t) for t in terms(*(e.lower for e in enclosures))]
+    hi = [float(t) for t in terms(*(e.upper for e in enclosures))]
+    return [min(pair) for pair in zip(lo, hi)], [max(pair) for pair in zip(lo, hi)]
+
+
+def _chain(chain_id: str, terms: Callable, *enclosures: RadiusEstimate) -> ChainReport:
+    """terms[0] <= terms[1] <= ... with ``terms`` a function of the radii
+    the ``enclosures`` enclose."""
+    lows, highs = _endpoints(terms, enclosures)
     tol = default_tolerance(*highs)
     links = tuple(
         _report(f"{chain_id}[{k}]", lows[k], lows[k + 1], highs[k + 1], tol)
         for k in range(len(lows) - 1)
     )
-    return ChainReport(chain_id, tuple(float(t) for t in lows), links)
+    return ChainReport(chain_id, tuple(lows), links)
+
+
+def _bound(bound_id: str, terms: Callable, *enclosures: RadiusEstimate) -> BoundReport:
+    """lhs <= rhs: a one-link chain reported under its own id."""
+    lows, highs = _endpoints(terms, enclosures)
+    return _report(bound_id, lows[0], lows[1], highs[1], default_tolerance(*highs))
 
 
 @dataclass(frozen=True)
@@ -285,35 +303,32 @@ class MatrixContext:
 
 
 def _ctx(a, cfg: RadiusConfig | None) -> MatrixContext:
-    if isinstance(a, MatrixContext):
-        return a
-    return MatrixContext(a, cfg)
+    """``a`` itself when it is a MatrixContext, which carries its own cfg: a
+    different ``cfg`` alongside it would be ignored, so it is rejected."""
+    if not isinstance(a, MatrixContext):
+        return MatrixContext(a, cfg)
+    if cfg is not None and cfg != a.cfg:
+        raise ValueError(f"cfg {cfg} differs from the MatrixContext's cfg {a.cfg}")
+    return a
 
 
 def eval_chain_b0(a, cfg: RadiusConfig | None = None) -> ChainReport:
     """||A||/2 <= w(A) <= ||A||."""
     c = _ctx(a, cfg)
-    e = c.omega
-    lows = [0.5 * c.norm, e.lower, c.norm]
-    highs = [0.5 * c.norm, e.upper, c.norm]
-    return _chain("B0", lows, highs)
+    return _chain("B0", lambda w: (0.5 * c.norm, w, c.norm), c.omega)
 
 
 def eval_bound_kit(a, cfg: RadiusConfig | None = None) -> BoundReport:
     """w(A) <= || |A| + |A*| || / 2."""
     c = _ctx(a, cfg)
     rhs = 0.5 * operator_norm(c.abs_left + c.abs_right)
-    tol = default_tolerance(c.omega.upper, rhs)
-    return _report("KIT", c.omega.lower, rhs, rhs, tol)
+    return _bound("KIT", lambda w: (w, rhs), c.omega)
 
 
 def eval_chain_sq(a, cfg: RadiusConfig | None = None) -> ChainReport:
     """|| |A|^2 + |A*|^2 || / 4 <= w(A)^2 <= || |A|^2 + |A*|^2 || / 2."""
     c = _ctx(a, cfg)
-    e = c.omega
-    lows = [0.25 * c.gram_norm, e.lower ** 2, 0.5 * c.gram_norm]
-    highs = [0.25 * c.gram_norm, e.upper ** 2, 0.5 * c.gram_norm]
-    return _chain("SQ", lows, highs)
+    return _chain("SQ", lambda w: (0.25 * c.gram_norm, w ** 2, 0.5 * c.gram_norm), c.omega)
 
 
 def eval_bound_lem1(a, sign: int, cfg: RadiusConfig | None = None) -> BoundReport:
@@ -322,10 +337,7 @@ def eval_bound_lem1(a, sign: int, cfg: RadiusConfig | None = None) -> BoundRepor
         raise ValueError("sign must be +1 or -1")
     c = _ctx(a, cfg)
     lhs = 0.5 * (c.norm_plus if sign == 1 else c.norm_minus)
-    e = c.omega
-    bound_id = "LEM1+" if sign == 1 else "LEM1-"
-    tol = default_tolerance(lhs, e.upper)
-    return _report(bound_id, lhs, e.lower, e.upper, tol)
+    return _bound("LEM1+" if sign == 1 else "LEM1-", lambda w: (lhs, w), c.omega)
 
 
 def eval_chain_t1(a, cfg: RadiusConfig | None = None) -> ChainReport:
@@ -333,9 +345,7 @@ def eval_chain_t1(a, cfg: RadiusConfig | None = None) -> ChainReport:
     c = _ctx(a, cfg)
     e = c.omega
     mid = (c.norm_plus ** 2 + c.norm_minus ** 2) / 8.0
-    lows = [0.25 * c.gram_norm, mid, e.lower ** 2]
-    highs = [0.25 * c.gram_norm, mid, e.upper ** 2]
-    return _chain("T1", lows, highs)
+    return _chain("T1", lambda w: (0.25 * c.gram_norm, mid, w ** 2), e)
 
 
 def eval_lemma_norm_sum(a, b, cfg: RadiusConfig | None = None) -> BoundReport:
@@ -347,10 +357,7 @@ def eval_lemma_norm_sum(a, b, cfg: RadiusConfig | None = None) -> BoundReport:
     lhs = operator_norm(ma + mb)
     gram = operator_norm(_hermitize(ma.conj().T @ ma + mb.conj().T @ mb))
     west = numerical_radius(mb.conj().T @ ma, cfg)
-    rhs_low = math.sqrt(gram + 2.0 * west.lower)
-    rhs_high = math.sqrt(gram + 2.0 * west.upper)
-    tol = default_tolerance(lhs, rhs_high)
-    return _report("LEM-SUM", lhs, rhs_low, rhs_high, tol)
+    return _bound("LEM-SUM", lambda w: (lhs, math.sqrt(gram + 2.0 * w)), west)
 
 
 def cartesian_radius_pair(a, cfg: RadiusConfig | None = None) -> tuple[RadiusEstimate, RadiusEstimate]:
@@ -375,15 +382,12 @@ def eval_chain_t2(a, cfg: RadiusConfig | None = None) -> ChainReport:
         raise IdentityCheckError(
             f"||(A*-A)^2(A*+A)^2 + 16 C^2B^2|| = {gap:.3e} above {allow:.3e}"
         )
-    e = c.omega
-    eq = c.omega_quad
-
-    def mid(w_a: float, w_q: float) -> float:
-        return 0.5 * math.sqrt(2.0 * w_a ** 4 + w_q / 8.0)
-
-    lows = [0.25 * c.gram_norm, mid(e.lower, eq.lower), e.lower ** 2]
-    highs = [0.25 * c.gram_norm, mid(e.upper, eq.upper), e.upper ** 2]
-    return _chain("T2", lows, highs)
+    return _chain(
+        "T2",
+        lambda w, wq: (0.25 * c.gram_norm, 0.5 * math.sqrt(2.0 * w ** 4 + wq / 8.0), w ** 2),
+        c.omega,
+        c.omega_quad,
+    )
 
 
 def eval_lemma_pos_diff(p, q, cfg: RadiusConfig | None = None) -> BoundReport:
@@ -408,7 +412,7 @@ def eval_lemma_pos_diff(p, q, cfg: RadiusConfig | None = None) -> BoundReport:
     qc = from_spectrum(eq.eigenvectors, wq)
     lhs = operator_norm(pc - qc)
     rhs = max(float(wp[-1]), float(wq[-1])) - min(float(wp[0]), float(wq[0]))
-    return _report("LEM-POSDIFF", lhs, rhs, rhs, default_tolerance(lhs, rhs))
+    return _bound("LEM-POSDIFF", lambda: (lhs, rhs))
 
 
 def eval_bound_t3(a, cfg: RadiusConfig | None = None) -> BoundReport:
@@ -418,8 +422,7 @@ def eval_bound_t3(a, cfg: RadiusConfig | None = None) -> BoundReport:
     block (both sides 1/4)."""
     c = _ctx(a, cfg)
     rhs = 0.5 * c.gram_norm - 0.25 * c.abs_diff_sq_min
-    tol = default_tolerance(c.omega.upper ** 2, rhs)
-    return _report("T3", c.omega.lower ** 2, rhs, rhs, tol)
+    return _bound("T3", lambda w: (w ** 2, rhs), c.omega)
 
 
 def eval_bound_t3_printed(a, cfg: RadiusConfig | None = None) -> BoundReport:
@@ -430,8 +433,7 @@ def eval_bound_t3_printed(a, cfg: RadiusConfig | None = None) -> BoundReport:
     Violations are reported normally and are exempt from process exit codes."""
     c = _ctx(a, cfg)
     rhs = 0.5 * (c.gram_norm - c.abs_diff_sq_min)
-    tol = default_tolerance(c.omega.upper ** 2, rhs)
-    return _report("T3-PRINTED", c.omega.lower ** 2, rhs, rhs, tol)
+    return _bound("T3-PRINTED", lambda w: (w ** 2, rhs), c.omega)
 
 
 def eval_functional_chain(a, fp: FunctionPair, cfg: RadiusConfig | None = None) -> ChainReport:
@@ -446,11 +448,7 @@ def eval_functional_chain(a, fp: FunctionPair, cfg: RadiusConfig | None = None) 
     x_mid = 0.5 * (c.f_abs_left(gof) + c.f_abs_right(gof))
     mid = operator_norm(apply_herm_fn(x_mid, fp.g_inverse))
     right = 0.5 * operator_norm(c.f_abs_left(fp.f) + c.f_abs_right(fp.f))
-    e = c.omega
-    f_lo, f_hi = sorted((float(fp.f(e.lower)), float(fp.f(e.upper))))
-    lows = [f_lo, mid, right]
-    highs = [f_hi, mid, right]
-    return _chain("FUNC", lows, highs)
+    return _chain("FUNC", lambda w: (fp.f(w), mid, right), c.omega)
 
 
 def eval_chain_cor(a, r: float = 2.0, cfg: RadiusConfig | None = None) -> ChainReport:
@@ -471,7 +469,7 @@ def eval_chain_cor(a, r: float = 2.0, cfg: RadiusConfig | None = None) -> ChainR
     root = apply_herm_fn(2.0 * s_mat + eye, np.sqrt)
     mid = 0.5 * operator_norm(s_mat + eye - root)
 
-    func_mid = eval_functional_chain(c, power_sqrt_pair(r), cfg).terms[1]
+    func_mid = eval_functional_chain(c, power_sqrt_pair(r)).terms[1]
     tol_mid = default_tolerance(mid, func_mid)
     if abs(mid - func_mid) > tol_mid:
         raise IdentityCheckError(
@@ -480,10 +478,7 @@ def eval_chain_cor(a, r: float = 2.0, cfg: RadiusConfig | None = None) -> ChainR
         )
 
     right = 0.5 * operator_norm(c.f_abs_left(lambda x: x ** r) + c.f_abs_right(lambda x: x ** r))
-    e = c.omega
-    lows = [e.lower ** r, mid, right]
-    highs = [e.upper ** r, mid, right]
-    return _chain("COR", lows, highs)
+    return _chain("COR", lambda w: (w ** r, mid, right), c.omega)
 
 
 @dataclass(frozen=True)

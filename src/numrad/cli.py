@@ -59,12 +59,12 @@ def _add_matrix_flags(sp) -> None:
     )
 
 
-def _add_radius_flags(sp) -> None:
+def _add_radius_flags(sp, seed_help: str = "oracle seed") -> None:
     sp.add_argument(
         "--grid", type=int, default=RadiusConfig.grid_points, help="initial sweep size"
     )
     sp.add_argument("--width", type=float, default=None, help="enclosure width target")
-    sp.add_argument("--seed", type=int, default=0, help="oracle seed")
+    sp.add_argument("--seed", type=int, default=0, help=seed_help)
     sp.add_argument("--samples", type=int, default=0, help="random oracle samples")
 
 
@@ -101,16 +101,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--family", required=True, help="ensemble family name")
     sp.add_argument("--dim", type=int, required=True, help="matrix dimension")
     sp.add_argument("--count", type=int, required=True, help="number of draws")
-    sp.add_argument("--seed", type=int, default=0, help="ensemble seed")
+    _add_radius_flags(sp, seed_help="ensemble seed, also the oracle seed")
     sp.add_argument(
         "--bounds", default=None, metavar="IDS",
         help="comma-separated catalog ids (default: all sound single-matrix entries)",
     )
-    sp.add_argument(
-        "--grid", type=int, default=RadiusConfig.grid_points, help="initial sweep size"
-    )
-    sp.add_argument("--width", type=float, default=None, help="enclosure width target")
-    sp.add_argument("--samples", type=int, default=0, help="random oracle samples")
     sp.add_argument("--r", type=float, default=2.0, help="exponent for COR/FUNC")
     _add_output_flags(sp, "json")
     sp.set_defaults(func=cmd_study)
@@ -218,7 +213,7 @@ def cmd_bounds(args) -> int:
     cfg = _radius_cfg(args)
     tokens, skipped = _split_bound_tokens(args.bounds, ())
     ctx = catalog.MatrixContext(m, cfg)
-    reports = [(token, catalog.evaluate(token, ctx, cfg, r=args.r)) for token in tokens]
+    reports = [(token, catalog.evaluate(token, ctx, r=args.r)) for token in tokens]
     rows = [(token, *catalog.summary_row(rep)) for token, rep in reports]
 
     if args.output == "human":
@@ -253,12 +248,8 @@ def cmd_bounds(args) -> int:
 
 def cmd_study(args) -> int:
     spec = ensembles.EnsembleSpec(args.family, args.dim, args.count, args.seed)
-    cfg = RadiusConfig(
-        grid_points=args.grid, target_width=args.width, oracle_samples=args.samples,
-        seed=args.seed,
-    )
     tokens, _ = _split_bound_tokens(args.bounds, STUDY_DEFAULT_BOUNDS)
-    report = ensembles.run_study(spec, tokens, cfg, r=args.r)
+    report = ensembles.run_study(spec, tokens, _radius_cfg(args), r=args.r)
 
     if args.output == "csv":
         text = ensembles.to_csv(report)
@@ -324,10 +315,7 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_INPUT
-    except (matio.MatrixFormatError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (ConvergenceError, catalog.IdentityCheckError) as exc:
+    except (ValueError, OSError, ConvergenceError, catalog.IdentityCheckError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except EnclosureNotReached as exc:

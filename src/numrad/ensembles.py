@@ -17,9 +17,7 @@ import numpy as np
 from . import bounds
 from .linalg import ConvergenceError, DomainError, _hermitize
 from .matio import g17, json_encode
-from .radius import EnclosureNotReached, RadiusConfig
-
-_SEED_MASK = (1 << 64) - 1
+from .radius import _SEED_MASK, EnclosureNotReached, RadiusConfig
 
 _FAMILY_CODES = {
     "ginibre": 1,
@@ -185,7 +183,7 @@ def run_study(
         try:
             draw = []
             for token in tokens:
-                report = bounds.evaluate(token, ctx, cfg, r)
+                report = bounds.evaluate(token, ctx, r=r)
                 draw.append(StudyRow(index, token, *bounds.summary_row(report)))
         except _DRAW_FAILURES as exc:
             failures.append((index, repr(exc)))

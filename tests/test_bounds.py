@@ -367,6 +367,17 @@ def test_context_caches_radius(rng):
     assert b0.terms[1] == pytest.approx(math.sqrt(sq.terms[1]), rel=1e-12)
 
 
+def test_context_rejects_a_different_cfg(rng):
+    # a context encloses with its own cfg, so a different one passed beside
+    # it is an error rather than silently ignored
+    ctx = MatrixContext(random_complex(rng, 3), RadiusConfig())
+    with pytest.raises(ValueError, match="differs"):
+        evaluate("B0", ctx, RadiusConfig(target_width=1e-3))
+    with pytest.raises(ValueError, match="differs"):
+        eval_bound_kit(ctx, RadiusConfig(grid_points=16))
+    assert evaluate("B0", ctx, RadiusConfig()).terms == evaluate("B0", ctx, None).terms
+
+
 def test_tolerance_absorbs_enclosure_width(rng):
     # a deliberately loose radius cannot flag a sound bound as violated
     a = random_complex(rng, 4)

@@ -8,7 +8,8 @@ import pytest
 import numrad.bounds
 import numrad.cli
 from numrad.bounds import BoundReport
-from numrad.cli import main
+from numrad.cli import STUDY_DEFAULT_BOUNDS, main
+from numrad.ensembles import EnsembleSpec, run_study, to_csv
 from numrad.matio import save_matrix
 from numrad.radius import RadiusConfig, numerical_radius
 
@@ -210,6 +211,20 @@ def test_study_csv_deterministic(capsys):
     second = capsys.readouterr().out
     assert first == second
     assert first.splitlines()[0] == "index,bound_id,lhs,rhs,slack,violated"
+
+
+def test_study_radius_flags_reach_the_config(capsys):
+    argv = ["study", "--family", "ginibre", "--dim", "3", "--count", "2", "--seed", "5",
+            "--grid", "16", "--width", "1e-6", "--samples", "50"]
+    spec = EnsembleSpec("ginibre", 3, 2, 5)
+    cfg = RadiusConfig(grid_points=16, target_width=1e-6, oracle_samples=50, seed=5)
+    want = to_csv(run_study(spec, STUDY_DEFAULT_BOUNDS, cfg))
+    # the flags change the output, so matching it shows they were applied
+    assert want != to_csv(run_study(spec, STUDY_DEFAULT_BOUNDS))
+    assert main(argv + ["--output", "csv"]) == 0
+    assert capsys.readouterr().out == want
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["seeds_used"] == [5, 5]
 
 
 def test_study_misprint_scan_keeps_exit_0(capsys):
