@@ -11,7 +11,12 @@ Covered: study CSV and failures for every family at dims 2/5/13 with the
 default and the ``COR:3,FUNC:3`` id lists; ``bounds --bounds all`` in json,
 csv and human on the 2x2 Jordan block and a seeded 6x6 ginibre draw;
 ``radius --output json`` on the 12 seed-1 ``enclose-large`` inputs of
-``bench/workloads.py``; the two-matrix lemmas and ``tightness_compare``.
+``bench/workloads.py``, and with ``--samples 2000 --seed 5`` on the Jordan
+block, the ginibre draw and, at ``--grid 8``, a 2x2 real-gaussian draw on
+which the oracle's second ascent runs; every field of the
+``numerical_radius`` estimates of the seed-1 smoke ``enclose-disk`` cycle
+(disk-shaped ranges, where no interval is ever pruned); the two-matrix
+lemmas and ``tightness_compare``.
 """
 
 import os
@@ -47,6 +52,13 @@ def _cli(argv) -> str:
     return f"exit {status}\n{err.getvalue()}"
 
 
+def _radius_with_oracle(out: pathlib.Path, name: str, src: pathlib.Path, *flags: str) -> None:
+    dst = out / f"radius-oracle-{name}.json"
+    argv = ["radius", "--input", str(src), *flags, "--samples", "2000", "--seed", "5"]
+    argv += ["--output", "json", "--out", str(dst)]
+    (out / f"radius-oracle-{name}.status").write_text(_cli(argv))
+
+
 def write_outputs(out: pathlib.Path) -> None:
     for family in ensembles.FAMILIES:
         for dim in STUDY_DIMS:
@@ -66,6 +78,7 @@ def write_outputs(out: pathlib.Path) -> None:
             dst = out / f"bounds-{name}.{fmt}"
             argv = ["bounds", "--input", str(src), "--bounds", "all", "--output", fmt]
             (out / f"bounds-{name}-{fmt}.status").write_text(_cli(argv + ["--out", str(dst)]))
+        _radius_with_oracle(out, name, src)
         lemmas = {
             "LEM-SUM": bounds.report_dict("LEM-SUM", bounds.eval_lemma_norm_sum(a, a.conj().T @ a)),
             "LEM-POSDIFF": bounds.report_dict(
@@ -76,12 +89,27 @@ def write_outputs(out: pathlib.Path) -> None:
         }
         (out / f"lemmas-{name}.json").write_text(matio.json_encode(lemmas))
 
+    # at --grid 8 the oracle beats the first ascent on this draw, so the
+    # enclosure runs its second ascent from the oracle's vector
+    draw = ensembles.generate(ensembles.EnsembleSpec("real-gaussian", 2, 1, seed=11), 0)
+    src = out / "real-gaussian2.json"
+    src.write_text(matio.dumps_json_matrix(draw))
+    _radius_with_oracle(out, "real-gaussian2", src, "--grid", "8")
+
     large = out / "enclose-large"
     large.mkdir()
     # each op runs `numrad radius --output json --out <family>-<n>.json`
     for op in workloads.enclose_large(1, str(large)).cycle:
         status, _ = op.run()
         (large / (op.slot.replace("/", "-") + ".status")).write_text(f"exit {status}\n")
+
+    disk = out / "enclose-disk"
+    disk.mkdir()
+    for op in workloads.enclose_disk(1, str(disk), smoke=True).cycle:
+        est = op.run()
+        fields = (est.lower, est.upper, est.theta_star, est.grid_points, est.refinement_iters)
+        text = "".join(f"{v!r}\n" for v in fields) + est.witness.tobytes().hex() + "\n"
+        (disk / (op.slot.replace("/", "-").replace("#", "-") + ".txt")).write_text(text)
 
 
 def main() -> int:

@@ -228,23 +228,18 @@ class MatrixContext:
     def _svd(self):
         return svd(self.a)
 
-    @cached_property
-    def abs_left(self) -> np.ndarray:
-        return from_spectrum(self._svd.right_vectors, self._svd.singular_values)
-
-    @cached_property
-    def abs_right(self) -> np.ndarray:
-        return from_spectrum(self._svd.left_vectors, self._svd.singular_values)
-
-    def f_abs_left(self, f: Callable) -> np.ndarray:
-        """f(|A|) through the singular spectrum."""
+    def f_abs(self, f: Callable) -> tuple[np.ndarray, np.ndarray]:
+        """(f(|A|), f(|A*|)) = (V f(S) V*, U f(S) U*) for the SVD A = U S V*."""
         vals = _apply_to_values(f, self._svd.singular_values)
-        return from_spectrum(self._svd.right_vectors, vals)
+        return (
+            from_spectrum(self._svd.right_vectors, vals),
+            from_spectrum(self._svd.left_vectors, vals),
+        )
 
-    def f_abs_right(self, f: Callable) -> np.ndarray:
-        """f(|A*|) through the singular spectrum."""
-        vals = _apply_to_values(f, self._svd.singular_values)
-        return from_spectrum(self._svd.left_vectors, vals)
+    @cached_property
+    def abs_pair(self) -> tuple[np.ndarray, np.ndarray]:
+        """(|A|, |A*|)."""
+        return self.f_abs(lambda x: x)
 
     @cached_property
     def gram_sum(self) -> np.ndarray:
@@ -298,7 +293,7 @@ class MatrixContext:
     @cached_property
     def abs_diff_sq_min(self) -> float:
         """m((|A| - |A*|)^2), the smallest eigenvalue of the squared gap."""
-        d = self.abs_left - self.abs_right
+        d = np.subtract(*self.abs_pair)
         return float(herm_eigen(_hermitize(d @ d)).eigenvalues[0])
 
 
@@ -321,7 +316,7 @@ def eval_chain_b0(a, cfg: RadiusConfig | None = None) -> ChainReport:
 def eval_bound_kit(a, cfg: RadiusConfig | None = None) -> BoundReport:
     """w(A) <= || |A| + |A*| || / 2."""
     c = _ctx(a, cfg)
-    rhs = 0.5 * operator_norm(c.abs_left + c.abs_right)
+    rhs = 0.5 * operator_norm(np.add(*c.abs_pair))
     return _bound("KIT", lambda w: (w, rhs), c.omega)
 
 
@@ -445,9 +440,9 @@ def eval_functional_chain(a, fp: FunctionPair, cfg: RadiusConfig | None = None) 
     c = _ctx(a, cfg)
     _check_pair_hypotheses(fp)
     gof = lambda x: fp.g(fp.f(x))
-    x_mid = 0.5 * (c.f_abs_left(gof) + c.f_abs_right(gof))
+    x_mid = 0.5 * np.add(*c.f_abs(gof))
     mid = operator_norm(apply_herm_fn(x_mid, fp.g_inverse))
-    right = 0.5 * operator_norm(c.f_abs_left(fp.f) + c.f_abs_right(fp.f))
+    right = 0.5 * operator_norm(np.add(*c.f_abs(fp.f)))
     return _chain("FUNC", lambda w: (fp.f(w), mid, right), c.omega)
 
 
@@ -464,7 +459,7 @@ def eval_chain_cor(a, r: float = 2.0, cfg: RadiusConfig | None = None) -> ChainR
     c = _ctx(a, cfg)
     r = float(r)
     pw = lambda x: x ** r + x ** (r / 2.0)
-    s_mat = c.f_abs_left(pw) + c.f_abs_right(pw)
+    s_mat = np.add(*c.f_abs(pw))
     eye = np.eye(s_mat.shape[0])
     root = apply_herm_fn(2.0 * s_mat + eye, np.sqrt)
     mid = 0.5 * operator_norm(s_mat + eye - root)
@@ -477,7 +472,7 @@ def eval_chain_cor(a, r: float = 2.0, cfg: RadiusConfig | None = None) -> ChainR
             f"{func_mid!r} beyond {tol_mid:.3e}"
         )
 
-    right = 0.5 * operator_norm(c.f_abs_left(lambda x: x ** r) + c.f_abs_right(lambda x: x ** r))
+    right = 0.5 * operator_norm(np.add(*c.f_abs(lambda x: x ** r)))
     return _chain("COR", lambda w: (w ** r, mid, right), c.omega)
 
 

@@ -203,7 +203,7 @@ def _split_bound_tokens(text: str | None, default: tuple[str, ...]):
 def _row_status(violated: bool, slack: float, rhs: float) -> str:
     if violated:
         return "VIOLATED"
-    if abs(slack) <= ensembles.TIGHT_REL * max(1.0, abs(rhs)):
+    if ensembles.is_tight(slack, rhs):
         return "TIGHT"
     return "OK"
 

@@ -37,6 +37,11 @@ MAX_COUNT = 10 ** 6
 TIGHT_REL = 1e-6
 
 
+def is_tight(slack: float, rhs: float) -> bool:
+    """Whether a report's slack is within ``TIGHT_REL * max(1, |rhs|)`` of 0."""
+    return abs(slack) <= TIGHT_REL * max(1.0, abs(rhs))
+
+
 @dataclass(frozen=True)
 class EnsembleSpec:
     """A reproducible batch: ``count`` draws of one family at one size."""
@@ -82,8 +87,7 @@ def generate(spec: EnsembleSpec, index: int) -> np.ndarray:
     if spec.family == "ginibre":
         return _complex_gaussian(rng, (n, n))
     if spec.family == "gue":
-        g = _complex_gaussian(rng, (n, n))
-        return 0.5 * (g + g.conj().T)
+        return _hermitize(_complex_gaussian(rng, (n, n)))
     if spec.family == "nilpotent-shift-random":
         return np.triu(_complex_gaussian(rng, (n, n)), 1)
     if spec.family == "normal":
@@ -199,9 +203,7 @@ def run_study(
             "median": float(np.median(rels)),
             "max": float(max(rels)),
         }
-        tight = sum(
-            1 for r in rows if abs(r.slack) <= TIGHT_REL * max(1.0, abs(r.rhs))
-        ) / len(rows)
+        tight = sum(1 for r in rows if is_tight(r.slack, r.rhs)) / len(rows)
     else:
         stats = {"min": 0.0, "median": 0.0, "max": 0.0}
         tight = 0.0

@@ -1,8 +1,7 @@
 """Dense complex-matrix kernels.
 
-Adjoint, operator norm, certified Hermitian eigendecomposition, SVD, the two
-polar absolute values |A| and |A*|, spectral functional calculus, minimum
-spectral value, and the Cartesian (Hermitian / skew-Hermitian) split.
+Operator norm, certified Hermitian eigendecomposition, SVD, spectral
+functional calculus, and the Cartesian (Hermitian / skew-Hermitian) split.
 
 Everything operates on plain ``numpy`` arrays in IEEE double precision.
 Decomposition residuals are certified against bounds of the form
@@ -59,15 +58,9 @@ def as_square(a) -> np.ndarray:
     return m
 
 
-def adjoint(a) -> np.ndarray:
-    """Conjugate transpose A*."""
-    return as_matrix(a).conj().T
-
-
 def max_abs(a) -> float:
-    """Entrywise max norm; zero for empty input."""
-    m = np.asarray(a)
-    return float(np.abs(m).max()) if m.size else 0.0
+    """Entrywise max norm of a non-empty array."""
+    return float(np.abs(a).max())
 
 
 def operator_norm(a) -> float:
@@ -107,11 +100,11 @@ def _hermitize(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.conj().T)
 
 
-def _gated_hermitian(a, hermiticity_tol: float | None = None) -> np.ndarray:
+def _gated_hermitian(a) -> np.ndarray:
     """Reject inputs outside the hermiticity gate, symmetrize the rest."""
     m = as_square(a)
     gap = max_abs(m - m.conj().T)
-    tol = hermiticity_tol if hermiticity_tol is not None else HERMITICITY_RTOL * max_abs(m)
+    tol = HERMITICITY_RTOL * max_abs(m)
     if gap > tol:
         raise NotHermitianError(
             f"max |H - H*| = {gap:.3e} exceeds hermiticity tolerance {tol:.3e}"
@@ -127,23 +120,22 @@ class HermEigen:
     eigenvectors: np.ndarray  # columns of V
 
 
-def herm_eigen(h, hermiticity_tol: float | None = None) -> HermEigen:
+def herm_eigen(h) -> HermEigen:
     """Certified eigendecomposition of a Hermitian matrix.
 
     The input must pass the hermiticity gate (max-norm, relative tolerance
-    ``HERMITICITY_RTOL`` unless overridden); it is symmetrized before
-    factoring.  The returned factors satisfy a per-column residual bound
+    ``HERMITICITY_RTOL``); it is symmetrized before factoring.  The returned
+    factors satisfy a per-column residual bound
     ``||H v_k - w_k v_k|| <= RESIDUAL_FACTOR * n * eps * max|w|`` and an
     orthonormality bound of the same size, else :class:`ConvergenceError`.
     """
-    m = _gated_hermitian(h, hermiticity_tol)
+    m = _gated_hermitian(h)
     n = m.shape[0]
     try:
         w, v = np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"eigendecomposition did not converge: {exc}") from exc
-    scale = float(np.abs(w).max()) if w.size else 0.0
-    bound = RESIDUAL_FACTOR * n * EPS * max(scale, 1e-300)
+    bound = RESIDUAL_FACTOR * n * EPS * max(max_abs(w), 1e-300)
     resid = float(np.sqrt(np.sum(np.abs(m @ v - v * w) ** 2, axis=0)).max())
     ortho = max_abs(v.conj().T @ v - np.eye(n))
     if resid > bound or ortho > RESIDUAL_FACTOR * n * EPS:
@@ -188,29 +180,9 @@ def apply_herm_fn(h, f: Callable) -> np.ndarray:
     return from_spectrum(eig.eigenvectors, vals)
 
 
-def abs_left(a) -> np.ndarray:
-    """|A| = (A*A)^(1/2), built from the SVD as V diag(s) V*."""
-    m = as_square(a)
-    fac = svd(m)
-    return from_spectrum(fac.right_vectors, fac.singular_values)
-
-
-def abs_right(a) -> np.ndarray:
-    """|A*| = (AA*)^(1/2), built from the SVD as U diag(s) U*."""
-    m = as_square(a)
-    fac = svd(m)
-    return from_spectrum(fac.left_vectors, fac.singular_values)
-
-
-def m_min(h) -> float:
-    """Smallest eigenvalue of a Hermitian matrix."""
-    return float(herm_eigen(h).eigenvalues[0])
-
-
 def cartesian_decomp(a) -> tuple[np.ndarray, np.ndarray]:
     """Split A = B + iC with B = (A+A*)/2 and C = (A-A*)/(2i), both Hermitian."""
     m = as_square(a)
-    mh = m.conj().T
-    b = 0.5 * (m + mh)
-    c = (m - mh) / 2j
+    b = _hermitize(m)
+    c = (m - m.conj().T) / 2j
     return b, c

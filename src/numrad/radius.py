@@ -49,6 +49,9 @@ _SWEEP_BYTES = 64 * 2 ** 20
 # Sample batch for the randomized Rayleigh oracle.
 _ORACLE_CHUNK = 20000
 
+# Step cap of each Rayleigh ascent.
+_ASCENT_STEPS = 200
+
 # Folds negative or oversized seeds into numpy's unsigned 64-bit seed range.
 _SEED_MASK = (1 << 64) - 1
 
@@ -75,7 +78,6 @@ class RadiusConfig:
     grid_points: int = 64
     target_width: float | None = None
     target_width_rel: float | None = None
-    max_refinement_iters: int = 200
     oracle_samples: int = 0
     seed: int = 0
 
@@ -86,8 +88,6 @@ class RadiusConfig:
             raise ValueError("target_width must be positive")
         if self.target_width_rel is not None and not self.target_width_rel > 0:
             raise ValueError("target_width_rel must be positive")
-        if self.max_refinement_iters < 0:
-            raise ValueError("max_refinement_iters must be non-negative")
         if self.oracle_samples < 0:
             raise ValueError("oracle_samples must be non-negative")
 
@@ -182,17 +182,12 @@ def _warm_start(
 
 
 def _ascend(
-    m: np.ndarray,
-    mh: np.ndarray,
-    x: np.ndarray,
-    lower: float,
-    theta: float,
-    max_iters: int,
-    stop_delta: float,
+    m: np.ndarray, mh: np.ndarray, x: np.ndarray, lower: float, theta: float, stop_delta: float
 ) -> tuple[float, np.ndarray, float, int]:
-    """Alternating Rayleigh ascent; monotone in the lower bound."""
+    """Alternating Rayleigh ascent of at most ``_ASCENT_STEPS`` steps;
+    monotone in the lower bound."""
     iters = 0
-    for _ in range(max_iters):
+    for _ in range(_ASCENT_STEPS):
         z = complex(np.vdot(x, m @ x))
         th = 0.0 if z == 0 else float(-np.angle(z))
         _, v = _top_vector(m, mh, th)
@@ -271,23 +266,19 @@ def numerical_radius(a, cfg: RadiusConfig | None = None) -> RadiusEstimate:
     gr = np.roll(gl, -1)
 
     lower, x, theta = _warm_start(m, mh, gl, h)
-    lower, x, theta, iters = _ascend(m, mh, x, lower, theta, cfg.max_refinement_iters, stop)
+    lower, x, theta, iters = _ascend(m, mh, x, lower, theta, stop)
 
     if cfg.oracle_samples > 0:
         val, vec = _oracle_max(m, cfg.oracle_samples, cfg.seed)
         if vec is not None and val > lower:
-            lower, x, theta, it2 = _ascend(
-                m, mh, vec, val, theta, cfg.max_refinement_iters, stop
-            )
+            lower, x, theta, it2 = _ascend(m, mh, vec, val, theta, stop)
             iters += it2
 
     while True:
-        if lefts.size:
-            certs = _grid_upper(np.maximum(gl, gr), h, slack)
-            upper = max(lower, float(certs.max()))
-        else:
-            certs = np.empty(0)
-            upper = lower
+        # lefts is never empty: a refinement pass only runs when some
+        # certificate exceeds lower + target, and it keeps that interval
+        certs = _grid_upper(np.maximum(gl, gr), h, slack)
+        upper = max(lower, float(certs.max()))
         if upper - lower <= target:
             break
         if 2 * nn > GRID_CAP:
@@ -301,18 +292,15 @@ def numerical_radius(a, cfg: RadiusConfig | None = None) -> RadiusEstimate:
         lefts, gl, gr = lefts[keep], gl[keep], gr[keep]
         mids = lefts + h / 2.0
         gm = _envelope_gvals(m, mh, mids)
-        if gm.size:
-            j = int(np.argmax(gm))
-            if float(gm[j]) > lower:
-                _, v = _top_vector(m, mh, float(mids[j]))
-                lower, x, theta, it3 = _ascend(
-                    m, mh, v, lower, theta, cfg.max_refinement_iters, stop
-                )
-                iters += it3
-        lefts = np.concatenate([lefts, mids])
-        gl, gr = np.concatenate([gl, gm]), np.concatenate([gm, gr])
-        order = np.argsort(lefts, kind="stable")
-        lefts, gl, gr = lefts[order], gl[order], gr[order]
+        j = int(np.argmax(gm))
+        if float(gm[j]) > lower:
+            _, v = _top_vector(m, mh, float(mids[j]))
+            lower, x, theta, it3 = _ascend(m, mh, v, lower, theta, stop)
+            iters += it3
+        # each midpoint lies inside its own interval, so interleaving keeps
+        # the angles sorted
+        lefts = np.column_stack([lefts, mids]).ravel()
+        gl, gr = np.column_stack([gl, gm]).ravel(), np.column_stack([gm, gr]).ravel()
         h /= 2.0
         nn *= 2
 

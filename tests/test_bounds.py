@@ -360,7 +360,7 @@ def test_context_caches_radius(rng):
     a = random_complex(rng, 3)
     ctx = _ctx(a)
     assert ctx.omega is ctx.omega
-    assert ctx.abs_left is ctx.abs_left
+    assert ctx.abs_pair is ctx.abs_pair
     # two bounds sharing one context reuse the same enclosure
     b0 = eval_chain_b0(ctx)
     sq = eval_chain_sq(ctx)
@@ -381,7 +381,7 @@ def test_context_rejects_a_different_cfg(rng):
 def test_tolerance_absorbs_enclosure_width(rng):
     # a deliberately loose radius cannot flag a sound bound as violated
     a = random_complex(rng, 4)
-    loose = RadiusConfig(grid_points=16, target_width_rel=0.2, max_refinement_iters=0)
+    loose = RadiusConfig(grid_points=16, target_width_rel=0.2)
     ctx = MatrixContext(a, loose)
     for bid in ("B0", "SQ", "LEM1+", "LEM1-", "T1"):
         rep = evaluate(bid, ctx)

@@ -10,6 +10,7 @@ from numrad.ensembles import (
     FAMILIES,
     EnsembleSpec,
     generate,
+    is_tight,
     matrices,
     run_study,
     tightness_compare,
@@ -108,6 +109,14 @@ def test_run_study_sound_bounds():
     assert 0.0 <= report.tight_fraction <= 1.0
     assert report.elapsed_seconds > 0.0
     assert report.seeds_used == (5,)
+
+
+def test_tight_fraction_is_the_share_of_tight_rows():
+    # a normal draw mixes tight rows with loose ones
+    report = run_study(EnsembleSpec("normal", 3, 4, seed=5), ["B0", "KIT", "SQ", "T1"], FAST)
+    tight = sum(is_tight(r.slack, r.rhs) for r in report.rows)
+    assert 0 < tight < len(report.rows)
+    assert report.tight_fraction == tight / len(report.rows)
 
 
 def test_run_study_oracle_seed_recorded():

@@ -3,19 +3,16 @@ import pytest
 from hypothesis import given, settings
 from numpy.testing import assert_allclose
 
+from numrad.bounds import MatrixContext
 from numrad.linalg import (
     ConvergenceError,
     DomainError,
     NotHermitianError,
-    abs_left,
-    abs_right,
-    adjoint,
     apply_herm_fn,
     as_matrix,
     as_square,
     cartesian_decomp,
     herm_eigen,
-    m_min,
     operator_norm,
     svd,
 )
@@ -39,11 +36,6 @@ def test_as_matrix_rejects_bad_input():
 def test_as_square_rejects_rectangular():
     with pytest.raises(ValueError):
         as_square(np.zeros((2, 3)))
-
-
-def test_adjoint():
-    a = np.array([[1 + 2j, 3j], [4, 5 - 1j]])
-    assert np.array_equal(adjoint(a), a.conj().T)
 
 
 def test_operator_norm_closed_forms():
@@ -91,21 +83,34 @@ def test_herm_eigen_gate():
 
 
 def test_abs_ops_on_jordan():
-    assert_allclose(abs_left(J), np.diag([0.0, 1.0]).astype(complex), atol=1e-14)
-    assert_allclose(abs_right(J), np.diag([1.0, 0.0]).astype(complex), atol=1e-14)
+    al, ar = MatrixContext(J).abs_pair
+    assert_allclose(al, np.diag([0.0, 1.0]).astype(complex), atol=1e-14)
+    assert_allclose(ar, np.diag([1.0, 0.0]).astype(complex), atol=1e-14)
 
 
 def test_abs_ops_square_to_gram(rng):
     for n in (2, 4, 7):
         a = random_complex(rng, n)
-        al = abs_left(a)
-        ar = abs_right(a)
+        al, ar = MatrixContext(a).abs_pair
         scale = max(1.0, operator_norm(a) ** 2)
         assert np.linalg.norm(al @ al - a.conj().T @ a) < 1e-12 * scale
         assert np.linalg.norm(ar @ ar - a @ a.conj().T) < 1e-12 * scale
         # PSD
         assert herm_eigen(al).eigenvalues[0] > -1e-12 * scale
         assert herm_eigen(ar).eigenvalues[0] > -1e-12 * scale
+
+
+def test_f_abs_square_is_gram(rng):
+    # f(|A|), f(|A*|) for f(x) = x^2 are A*A and AA*, in that order
+    for n in (2, 4, 7):
+        a = random_complex(rng, n)
+        fl, fr = MatrixContext(a).f_abs(lambda x: x ** 2)
+        scale = max(1.0, operator_norm(a) ** 2)
+        assert np.linalg.norm(fl - a.conj().T @ a) < 1e-12 * scale
+        assert np.linalg.norm(fr - a @ a.conj().T) < 1e-12 * scale
+    fl, fr = MatrixContext(J).f_abs(lambda x: x ** 2)
+    assert_allclose(fl, np.diag([0.0, 1.0]).astype(complex), atol=1e-14)
+    assert_allclose(fr, np.diag([1.0, 0.0]).astype(complex), atol=1e-14)
 
 
 def test_apply_herm_fn_diagonal():
@@ -120,12 +125,6 @@ def test_apply_herm_fn_domain_error():
         apply_herm_fn(h, np.sqrt)
     with pytest.raises(DomainError):
         apply_herm_fn(h, lambda x: 1.0 / x * 0 + np.log(x))
-
-
-def test_m_min():
-    assert m_min(np.diag([0.25, 3.0]).astype(complex)) == pytest.approx(0.25)
-    # min of the quadratic form, not of the spectrum magnitude
-    assert m_min(np.diag([-2.0, 5.0]).astype(complex)) == pytest.approx(-2.0)
 
 
 def test_cartesian_decomp(rng):
@@ -151,8 +150,7 @@ def test_cartesian_quadratic_forms(rng):
 def test_gram_identity(rng):
     # |A|^2 + |A*|^2 equals A*A + AA* without any decomposition
     a = random_complex(rng, 5)
-    al = abs_left(a)
-    ar = abs_right(a)
+    al, ar = MatrixContext(a).abs_pair
     lhs = al @ al + ar @ ar
     rhs = a.conj().T @ a + a @ a.conj().T
     assert np.linalg.norm(lhs - rhs) < 1e-12 * max(1.0, operator_norm(a) ** 2)
@@ -168,6 +166,6 @@ def test_psd_norm_is_top_eigenvalue(rng):
 @settings(deadline=None, max_examples=40)
 @given(square_matrices(max_dim=4))
 def test_norm_of_adjoint_matches(a):
-    assert operator_norm(adjoint(a)) == pytest.approx(
+    assert operator_norm(a.conj().T) == pytest.approx(
         operator_norm(a), rel=1e-10, abs=1e-10
     )

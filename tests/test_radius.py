@@ -40,8 +40,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         RadiusConfig(target_width_rel=-1e-9)
     with pytest.raises(ValueError):
-        RadiusConfig(max_refinement_iters=-1)
-    with pytest.raises(ValueError):
         RadiusConfig(oracle_samples=-5)
 
 
