@@ -16,7 +16,13 @@ block, the ginibre draw and, at ``--grid 8``, a 2x2 real-gaussian draw on
 which the oracle's second ascent runs; every field of the
 ``numerical_radius`` estimates of the seed-1 smoke ``enclose-disk`` cycle
 (disk-shaped ranges, where no interval is ever pruned); the two-matrix
-lemmas and ``tightness_compare``.
+lemmas and ``tightness_compare``.  Through the CLI as well: ``radius`` in
+human and csv, with and without ``--samples 300 --seed 3``, and ``bounds
+--bounds B0,T3-PRINTED,COR:3,FUNC --r 2.5`` in all three formats, on the
+Jordan block and the ginibre draw; ``study`` in human and json on ginibre and
+nilpotent draws and one ``--samples 50`` run (``elapsed_seconds`` masked);
+``catalog`` in all three formats; the exit status and standard error of a
+missing input file, an unknown bound id and an unknown family.
 """
 
 import os
@@ -30,6 +36,7 @@ import contextlib
 import hashlib
 import io
 import pathlib
+import re
 import sys
 
 import numpy as np
@@ -42,6 +49,13 @@ from numrad import bounds, cli, ensembles, matio  # noqa: E402
 
 STUDY_IDS = (cli.STUDY_DEFAULT_BOUNDS, ("COR:3", "FUNC:3"))
 STUDY_DIMS = (2, 5, 13)
+SUBSET_IDS = "B0,T3-PRINTED,COR:3,FUNC"
+# (family, dim, count, seed, extra flags) of the `numrad study` runs
+STUDY_CLI_RUNS = (
+    ("ginibre", "4", "3", "2", ()),
+    ("nilpotent-shift-random", "3", "3", "2", ()),
+    ("ginibre", "3", "2", "5", ("--samples", "50")),
+)
 
 
 def _cli(argv) -> str:
@@ -78,6 +92,15 @@ def write_outputs(out: pathlib.Path) -> None:
             dst = out / f"bounds-{name}.{fmt}"
             argv = ["bounds", "--input", str(src), "--bounds", "all", "--output", fmt]
             (out / f"bounds-{name}-{fmt}.status").write_text(_cli(argv + ["--out", str(dst)]))
+            dst = out / f"bounds-subset-{name}.{fmt}"
+            argv = ["bounds", "--input", str(src), "--bounds", SUBSET_IDS, "--r", "2.5"]
+            argv += ["--output", fmt, "--out", str(dst)]
+            (out / f"bounds-subset-{name}-{fmt}.status").write_text(_cli(argv))
+        for fmt in ("human", "csv"):
+            for tag, flags in (("plain", ()), ("samples", ("--samples", "300", "--seed", "3"))):
+                dst = out / f"radius-{tag}-{name}.{fmt}"
+                argv = ["radius", "--input", str(src), *flags, "--output", fmt, "--out", str(dst)]
+                (out / f"radius-{tag}-{name}-{fmt}.status").write_text(_cli(argv))
         _radius_with_oracle(out, name, src)
         lemmas = {
             "LEM-SUM": bounds.report_dict("LEM-SUM", bounds.eval_lemma_norm_sum(a, a.conj().T @ a)),
@@ -95,6 +118,30 @@ def write_outputs(out: pathlib.Path) -> None:
     src = out / "real-gaussian2.json"
     src.write_text(matio.dumps_json_matrix(draw))
     _radius_with_oracle(out, "real-gaussian2", src, "--grid", "8")
+
+    for k, (family, dim, count, seed, flags) in enumerate(STUDY_CLI_RUNS):
+        for fmt in ("human", "json"):
+            dst = out / f"study-cli-{k}.{fmt}"
+            argv = ["study", "--family", family, "--dim", dim, "--count", count, "--seed", seed]
+            argv += [*flags, "--output", fmt, "--out", str(dst)]
+            (out / f"study-cli-{k}-{fmt}.status").write_text(_cli(argv))
+            # the one timing field; every other byte is fixed by the seeds
+            dst.write_text(re.sub(r"(elapsed_seconds\W+)[-+.\deE]+", r"\1*", dst.read_text()))
+
+    for fmt in ("human", "json", "csv"):
+        dst = out / f"catalog.{fmt}"
+        (out / f"catalog-{fmt}.status").write_text(
+            _cli(["catalog", "--output", fmt, "--out", str(dst)])
+        )
+
+    # input errors: exit status and message, which name no OUTDIR path
+    errors = {
+        "missing-input": ["radius", "--input", "no-such-matrix.json"],
+        "unknown-id": ["bounds", "--input", str(out / "jordan.json"), "--bounds", "NOPE"],
+        "unknown-family": ["study", "--family", "nope", "--dim", "2", "--count", "1"],
+    }
+    for name, argv in errors.items():
+        (out / f"error-{name}.status").write_text(_cli(argv))
 
     large = out / "enclose-large"
     large.mkdir()

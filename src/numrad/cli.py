@@ -5,9 +5,9 @@ Subcommands: ``radius`` (certified enclosure of one matrix), ``bounds``
 run), ``catalog`` (list the registry).
 
 Exit codes: 0 success, 1 input error (bad flags, malformed files, unknown
-ids, invalid family), 2 enclosure target not reached (best estimate still
-printed), 3 a non-diagnostic bound was violated.  T3-PRINTED is diagnostic
-and never drives the exit code.
+ids, invalid family) or arithmetic overflow, 2 enclosure target not reached
+(best estimate still printed), 3 a non-diagnostic bound was violated.
+T3-PRINTED is diagnostic and never drives the exit code.
 
 Human output rounds to 6 significant digits; json and csv output carries 17.
 """
@@ -146,15 +146,6 @@ def _radius_cfg(args) -> RadiusConfig:
 
 
 def _estimate_text(est, output: str) -> str:
-    if output == "human":
-        return (
-            f"lower            {_h6(est.lower)}\n"
-            f"upper            {_h6(est.upper)}\n"
-            f"width            {_h6(est.width)}\n"
-            f"theta_star       {_h6(est.theta_star)}\n"
-            f"grid_points      {est.grid_points}\n"
-            f"refinement_iters {est.refinement_iters}\n"
-        )
     obj = {
         "lower": est.lower,
         "upper": est.upper,
@@ -163,6 +154,10 @@ def _estimate_text(est, output: str) -> str:
         "grid_points": est.grid_points,
         "refinement_iters": est.refinement_iters,
     }
+    if output == "human":
+        return "".join(
+            f"{k:<17}{_h6(v) if isinstance(v, float) else v}\n" for k, v in obj.items()
+        )
     if output == "csv":
         head = ",".join(obj)
         row = ",".join(
@@ -315,7 +310,9 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_INPUT
-    except (ValueError, OSError, ConvergenceError, catalog.IdentityCheckError) as exc:
+    except (
+        ValueError, OSError, ArithmeticError, ConvergenceError, catalog.IdentityCheckError
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except EnclosureNotReached as exc:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -241,25 +241,10 @@ def to_json(report: StudyReport) -> str:
         "dimension": report.spec.dimension,
         "count": report.spec.count,
         "bound_ids": list(report.bound_ids),
-        "rows": [
-            {
-                "index": r.index,
-                "bound_id": r.bound_id,
-                "lhs": r.lhs,
-                "rhs": r.rhs,
-                "slack": r.slack,
-                "violated": r.violated,
-            }
-            for r in report.rows
-        ],
+        "rows": [asdict(r) for r in report.rows],
         "failures": [{"index": i, "error": msg} for i, msg in report.failures],
         "violations": [
-            {
-                "index": r.index,
-                "bound_id": r.bound_id,
-                "lhs": r.lhs,
-                "rhs": r.rhs,
-            }
+            {k: getattr(r, k) for k in ("index", "bound_id", "lhs", "rhs")}
             for r in report.violations
         ],
         "slack_stats": report.slack_stats,

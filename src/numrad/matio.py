@@ -80,13 +80,10 @@ def loads_matrix_market(text: str):
     header = lines[0].strip().lower().split()
     if not header or not header[0].startswith(_MM_BANNER):
         raise MatrixFormatError("line 1: missing %%MatrixMarket header")
-    if header != [_MM_BANNER, "matrix", "array", "complex", "general"] and header != [
-        _MM_BANNER,
-        "matrix",
-        "array",
-        "real",
-        "general",
-    ]:
+    if header not in (
+        [_MM_BANNER, "matrix", "array", "complex", "general"],
+        [_MM_BANNER, "matrix", "array", "real", "general"],
+    ):
         raise MatrixFormatError(
             "line 1: unsupported header, expected "
             "'%%MatrixMarket matrix array complex general' (or field 'real')"

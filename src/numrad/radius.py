@@ -70,14 +70,13 @@ class RadiusConfig:
     """Knobs for the enclosure engine.
 
     ``target_width`` is an absolute enclosure width; when ``None`` the width
-    resolves to ``target_width_rel * max(1, ||A||)`` with ``target_width_rel``
-    defaulting to 1e-9.  ``oracle_samples > 0`` adds a randomized Rayleigh
-    lower-bound pass seeded by ``seed``.
+    resolves to ``target_width_rel * max(1, ||A||)``.  ``oracle_samples > 0``
+    adds a randomized Rayleigh lower-bound pass seeded by ``seed``.
     """
 
     grid_points: int = 64
     target_width: float | None = None
-    target_width_rel: float | None = None
+    target_width_rel: float = 1e-9
     oracle_samples: int = 0
     seed: int = 0
 
@@ -86,7 +85,7 @@ class RadiusConfig:
             raise ValueError("grid_points must be at least 8")
         if self.target_width is not None and not self.target_width > 0:
             raise ValueError("target_width must be positive")
-        if self.target_width_rel is not None and not self.target_width_rel > 0:
+        if not self.target_width_rel > 0:
             raise ValueError("target_width_rel must be positive")
         if self.oracle_samples < 0:
             raise ValueError("oracle_samples must be non-negative")
@@ -94,8 +93,7 @@ class RadiusConfig:
     def resolve_target(self, norm: float) -> float:
         if self.target_width is not None:
             return self.target_width
-        rel = self.target_width_rel if self.target_width_rel is not None else 1e-9
-        return rel * max(1.0, norm)
+        return self.target_width_rel * max(1.0, norm)
 
 
 @dataclass(eq=False)

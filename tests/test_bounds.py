@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import numrad
 import numrad.bounds as nb
 from numrad.bounds import (
     BoundReport,
@@ -310,6 +311,15 @@ def test_t2_checks_the_cartesian_identity_on_matrices(rng):
         eval_chain_t2(ctx)
 
 
+@pytest.mark.parametrize("seed", [3, 8])
+def test_cor_right_term_is_func_right_term(seed):
+    # COR and FUNC share || |A|^r + |A*|^r || / 2, bit for bit
+    ctx = _ctx(random_complex(np.random.default_rng(seed), 3))
+    for r in (2.0, 3.0, 4.5):
+        func = eval_functional_chain(ctx, power_sqrt_pair(r))
+        assert eval_chain_cor(ctx, r).terms[2] == func.terms[2]
+
+
 def test_evaluate_dispatch(rng):
     a = random_complex(rng, 3)
     ctx = _ctx(a)
@@ -323,16 +333,14 @@ def test_evaluate_dispatch(rng):
 
 
 def test_catalog_cased_aliases():
-    # the registry-cased names are the same callables, not copies
-    assert nb.eval_chain_B0 is nb.eval_chain_b0
-    assert nb.eval_bound_KIT is nb.eval_bound_kit
-    assert nb.eval_chain_SQ is nb.eval_chain_sq
-    assert nb.eval_bound_LEM1 is nb.eval_bound_lem1
-    assert nb.eval_chain_T1 is nb.eval_chain_t1
-    assert nb.eval_chain_T2 is nb.eval_chain_t2
-    assert nb.eval_bound_T3 is nb.eval_bound_t3
+    # one registry-cased name is kept, as the same callable, not a copy
     assert nb.eval_bound_T3_printed is nb.eval_bound_t3_printed
-    assert nb.eval_chain_COR is nb.eval_chain_cor
+    for name in (
+        "eval_chain_B0", "eval_bound_KIT", "eval_chain_SQ", "eval_bound_LEM1",
+        "eval_chain_T1", "eval_chain_T2", "eval_bound_T3", "eval_chain_COR",
+    ):
+        assert not hasattr(nb, name), name
+        assert not hasattr(numrad, name), name
 
 
 def test_catalog_is_complete():
@@ -354,6 +362,9 @@ def test_default_tolerance():
     assert default_tolerance(0.5) == pytest.approx(1e-9)
     assert default_tolerance(100.0) == pytest.approx(1e-7)
     assert default_tolerance(-200.0, 3.0) == pytest.approx(2e-7)
+    assert default_tolerance() == 1e-9
+    assert default_tolerance(0.0) == 1e-9
+    assert default_tolerance(float("nan"), 5.0) == 5e-9
 
 
 def test_context_caches_radius(rng):

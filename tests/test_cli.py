@@ -9,7 +9,7 @@ import numrad.bounds
 import numrad.cli
 from numrad.bounds import BoundReport
 from numrad.cli import STUDY_DEFAULT_BOUNDS, main
-from numrad.ensembles import EnsembleSpec, run_study, to_csv
+from numrad.ensembles import EnsembleSpec, generate, run_study, to_csv
 from numrad.matio import save_matrix
 from numrad.radius import RadiusConfig, numerical_radius
 
@@ -322,6 +322,17 @@ def test_identity_check_error_exits_1(jordan_mtx, capsys, monkeypatch):
     monkeypatch.setattr(numrad.bounds, "evaluate", broken)
     assert main(["bounds", "--input", jordan_mtx, "--bounds", "T2"]) == 1
     assert "error: routes disagree" in capsys.readouterr().err
+
+
+def test_overflow_exits_1_without_traceback(tmp_path, capsys):
+    # ||A + A*||^2 overflows a Python float at this scale
+    path = tmp_path / "huge.json"
+    a = generate(EnsembleSpec("ginibre", 3, 1, seed=0), 0) * 1e300
+    save_matrix(a, str(path))
+    assert main(["bounds", "--input", str(path), "--bounds", "T1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err
 
 
 def test_catalog_json(capsys):

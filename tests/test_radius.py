@@ -43,6 +43,11 @@ def test_config_validation():
         RadiusConfig(oracle_samples=-5)
 
 
+def test_config_default_relative_width():
+    assert RadiusConfig() == RadiusConfig(target_width_rel=1e-9)
+    assert RadiusConfig().resolve_target(4.0) == 4e-9
+
+
 def test_herm_envelope_definition(rng):
     a = random_complex(rng, 5)
     theta = 0.7
