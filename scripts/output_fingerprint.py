@@ -22,7 +22,12 @@ human and csv, with and without ``--samples 300 --seed 3``, and ``bounds
 Jordan block and the ginibre draw; ``study`` in human and json on ginibre and
 nilpotent draws and one ``--samples 50`` run (``elapsed_seconds`` masked);
 ``catalog`` in all three formats; the exit status and standard error of a
-missing input file, an unknown bound id and an unknown family.
+missing input file, an unknown bound id and an unknown family.  The
+non-default ``RadiusConfig`` path as well: ``evaluate`` of every arity-1 id
+plus ``COR:3`` and ``FUNC:3`` on a ``MatrixContext`` built with
+``CONTEXT_CFG``, and ``tightness_compare`` and every field of the
+``cartesian_radius_pair`` enclosures under that cfg, on the Jordan block and
+the ginibre draw.
 """
 
 import os
@@ -46,10 +51,13 @@ sys.path.insert(0, str(ROOT / "bench"))
 
 import workloads  # noqa: E402  (bench/workloads.py)
 from numrad import bounds, cli, ensembles, matio  # noqa: E402
+from numrad.radius import RadiusConfig  # noqa: E402
 
 STUDY_IDS = (cli.STUDY_DEFAULT_BOUNDS, ("COR:3", "FUNC:3"))
 STUDY_DIMS = (2, 5, 13)
 SUBSET_IDS = "B0,T3-PRINTED,COR:3,FUNC"
+CONTEXT_CFG = RadiusConfig(grid_points=16, target_width=1e-6)
+CONTEXT_IDS = [e.bound_id for e in bounds.catalog_list() if e.arity == 1] + ["COR:3", "FUNC:3"]
 # (family, dim, count, seed, extra flags) of the `numrad study` runs
 STUDY_CLI_RUNS = (
     ("ginibre", "4", "3", "2", ()),
@@ -64,6 +72,12 @@ def _cli(argv) -> str:
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         status = cli.main(argv)
     return f"exit {status}\n{err.getvalue()}"
+
+
+def _estimate_text(est) -> str:
+    """Every field of a RadiusEstimate, the witness as its raw bytes."""
+    fields = (est.lower, est.upper, est.theta_star, est.grid_points, est.refinement_iters)
+    return "".join(f"{v!r}\n" for v in fields) + est.witness.tobytes().hex() + "\n"
 
 
 def _radius_with_oracle(out: pathlib.Path, name: str, src: pathlib.Path, *flags: str) -> None:
@@ -111,6 +125,12 @@ def write_outputs(out: pathlib.Path) -> None:
             "tightness": ensembles.tightness_compare(a),
         }
         (out / f"lemmas-{name}.json").write_text(matio.json_encode(lemmas))
+        ctx = bounds.MatrixContext(a, CONTEXT_CFG)
+        reports = [bounds.report_dict(bid, bounds.evaluate(bid, ctx)) for bid in CONTEXT_IDS]
+        reports.append(ensembles.tightness_compare(a, CONTEXT_CFG))
+        (out / f"context-{name}.json").write_text(matio.json_encode(reports))
+        pair = bounds.cartesian_radius_pair(a, CONTEXT_CFG)
+        (out / f"cartesian-{name}.txt").write_text("".join(map(_estimate_text, pair)))
 
     # at --grid 8 the oracle beats the first ascent on this draw, so the
     # enclosure runs its second ascent from the oracle's vector
@@ -153,9 +173,7 @@ def write_outputs(out: pathlib.Path) -> None:
     disk = out / "enclose-disk"
     disk.mkdir()
     for op in workloads.enclose_disk(1, str(disk), smoke=True).cycle:
-        est = op.run()
-        fields = (est.lower, est.upper, est.theta_star, est.grid_points, est.refinement_iters)
-        text = "".join(f"{v!r}\n" for v in fields) + est.witness.tobytes().hex() + "\n"
+        text = _estimate_text(op.run())
         (disk / (op.slot.replace("/", "-").replace("#", "-") + ".txt")).write_text(text)
 
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable
 
 import numpy as np
@@ -133,9 +133,9 @@ class FunctionPair:
 
     Expected hypotheses: f continuous non-negative on [0, inf), g increasing
     concave, and g o f increasing convex.  Construction verifies the inverse
-    round trip |g^{-1}(g(x)) - x| <= 1e-12 max(1, x) on a small grid; the
-    monotonicity/convexity hypotheses are spot-checked on a grid at
-    evaluation time (a necessary condition only).
+    round trip |g^{-1}(g(x)) - x| <= 1e-12 max(1, x) on a small grid, then
+    spot-checks the monotonicity/convexity hypotheses on a grid (a necessary
+    condition only), so a pair that exists has passed both.
     """
 
     f: Callable
@@ -150,6 +150,7 @@ class FunctionPair:
                 raise ValueError(
                     f"g_inverse(g({x})) = {back} is not an inverse to 1e-12"
                 )
+        _check_pair_hypotheses(self)
 
 
 def identity_pair() -> FunctionPair:
@@ -209,6 +210,8 @@ class MatrixContext:
     radius enclosures of A and of the derived fourth-order products."""
 
     def __init__(self, a, cfg: RadiusConfig | None = None):
+        if isinstance(a, MatrixContext):
+            raise TypeError("a MatrixContext already has its own cfg; pass its matrix ctx.a")
         self.a = as_square(a)
         self.cfg = cfg or RadiusConfig()
 
@@ -240,7 +243,9 @@ class MatrixContext:
     @cached_property
     def gram_sum(self) -> np.ndarray:
         """|A|^2 + |A*|^2 computed exactly as A*A + AA*."""
-        return _hermitize(self.ah @ self.a + self.a @ self.ah)
+        with np.errstate(over="ignore", invalid="ignore"):
+            gram = _hermitize(self.ah @ self.a + self.a @ self.ah)
+        return _finite_product(gram, "A*A + AA*")
 
     @cached_property
     def gram_norm(self) -> float:
@@ -293,50 +298,48 @@ class MatrixContext:
         return float(herm_eigen(_hermitize(d @ d)).eigenvalues[0])
 
 
-def _ctx(a, cfg: RadiusConfig | None) -> MatrixContext:
-    """``a`` itself when it is a MatrixContext, which carries its own cfg: a
-    different ``cfg`` alongside it would be ignored, so it is rejected."""
-    if not isinstance(a, MatrixContext):
-        return MatrixContext(a, cfg)
-    if cfg is not None and cfg != a.cfg:
-        raise ValueError(f"cfg {cfg} differs from the MatrixContext's cfg {a.cfg}")
-    return a
+def _ctx(a) -> MatrixContext:
+    """``a`` itself when it is a MatrixContext, which carries its own cfg;
+    otherwise a context with the default cfg."""
+    return a if isinstance(a, MatrixContext) else MatrixContext(a)
 
 
-def eval_chain_b0(a, cfg: RadiusConfig | None = None) -> ChainReport:
+def eval_chain_b0(a) -> ChainReport:
     """||A||/2 <= w(A) <= ||A||."""
-    c = _ctx(a, cfg)
+    c = _ctx(a)
     return _chain("B0", lambda w: (0.5 * c.norm, w, c.norm), c.omega)
 
 
-def eval_bound_kit(a, cfg: RadiusConfig | None = None) -> BoundReport:
+def eval_bound_kit(a) -> BoundReport:
     """w(A) <= || |A| + |A*| || / 2."""
-    c = _ctx(a, cfg)
+    c = _ctx(a)
     rhs = 0.5 * operator_norm(np.add(*c.abs_pair))
     return _bound("KIT", lambda w: (w, rhs), c.omega)
 
 
-def eval_chain_sq(a, cfg: RadiusConfig | None = None) -> ChainReport:
+def eval_chain_sq(a) -> ChainReport:
     """|| |A|^2 + |A*|^2 || / 4 <= w(A)^2 <= || |A|^2 + |A*|^2 || / 2."""
-    c = _ctx(a, cfg)
+    c = _ctx(a)
     return _chain("SQ", lambda w: (0.25 * c.gram_norm, w ** 2, 0.5 * c.gram_norm), c.omega)
 
 
-def eval_bound_lem1(a, sign: int, cfg: RadiusConfig | None = None) -> BoundReport:
+def eval_bound_lem1(a, sign: int) -> BoundReport:
     """||A + sign A*|| / 2 <= w(A) for sign in {+1, -1}."""
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    c = _ctx(a, cfg)
+    c = _ctx(a)
     lhs = 0.5 * (c.norm_plus if sign == 1 else c.norm_minus)
     return _bound("LEM1+" if sign == 1 else "LEM1-", lambda w: (lhs, w), c.omega)
 
 
-def eval_chain_t1(a, cfg: RadiusConfig | None = None) -> ChainReport:
+def eval_chain_t1(a) -> ChainReport:
     """|| |A|^2+|A*|^2 ||/4 <= (||A+A*||^2 + ||A-A*||^2)/8 <= w(A)^2."""
-    c = _ctx(a, cfg)
-    e = c.omega
-    mid = (c.norm_plus ** 2 + c.norm_minus ** 2) / 8.0
-    return _chain("T1", lambda w: (0.25 * c.gram_norm, mid, w ** 2), e)
+    c = _ctx(a)
+    gram = c.gram_norm  # first, so an overflowing A*A + AA* is named before the middle term
+    with np.errstate(over="ignore"):
+        total = np.float64(c.norm_plus) ** 2 + np.float64(c.norm_minus) ** 2
+    mid = float(_finite_product(total, "||A+A*||^2 + ||A-A*||^2")) / 8.0
+    return _chain("T1", lambda w: (0.25 * gram, mid, w ** 2), c.omega)
 
 
 def eval_lemma_norm_sum(a, b, cfg: RadiusConfig | None = None) -> BoundReport:
@@ -352,13 +355,14 @@ def eval_lemma_norm_sum(a, b, cfg: RadiusConfig | None = None) -> BoundReport:
 
 
 def cartesian_radius_pair(a, cfg: RadiusConfig | None = None) -> tuple[RadiusEstimate, RadiusEstimate]:
-    """Enclosures of w(C^2 B^2) and w((A*-A)^2 (A*+A)^2); the first equals
-    one sixteenth of the second in exact arithmetic."""
-    c = _ctx(a, cfg)
+    """Enclosures of w(C^2 B^2) and w((A*-A)^2 (A*+A)^2) of the matrix ``a``
+    (not a MatrixContext, which has its own cfg); the first equals one
+    sixteenth of the second in exact arithmetic."""
+    c = MatrixContext(a, cfg)
     return c.omega_c2b2, c.omega_quad
 
 
-def eval_chain_t2(a, cfg: RadiusConfig | None = None) -> ChainReport:
+def eval_chain_t2(a) -> ChainReport:
     """|| |A|^2+|A*|^2 ||/4 <= sqrt(2 w(A)^4 + w((A*-A)^2(A*+A)^2)/8)/2 <= w(A)^2.
 
     Also cross-checks (A*-A)^2 (A*+A)^2 = -16 C^2 B^2 through the Cartesian
@@ -366,7 +370,7 @@ def eval_chain_t2(a, cfg: RadiusConfig | None = None) -> ChainReport:
     if the residual norm exceeds tolerance.  Since |w(X) - w(Y)| <= ||X - Y||,
     this implies w(C^2 B^2) = w((A*-A)^2 (A*+A)^2) / 16 without a third
     enclosure."""
-    c = _ctx(a, cfg)
+    c = _ctx(a)
     gap = operator_norm(c.quad_product + 16.0 * c.c2b2)
     allow = default_tolerance(operator_norm(c.quad_product))
     if gap > allow:
@@ -385,7 +389,9 @@ def eval_lemma_pos_diff(p, q, cfg: RadiusConfig | None = None) -> BoundReport:
     """||P - Q|| <= max(||P||, ||Q||) - min(m(P), m(Q)) for PSD P, Q.
 
     Operands must be Hermitian with smallest eigenvalue >= -tolerance; small
-    negative eigenvalues inside the gate are clipped to zero."""
+    negative eigenvalues inside the gate are clipped to zero.  No radius is
+    enclosed, so ``cfg`` is unused; it stays so both two-matrix lemmas take
+    the same arguments."""
     ep = herm_eigen(p)
     eq = herm_eigen(q)
     if ep.eigenvalues.size != eq.eigenvalues.size:
@@ -406,35 +412,34 @@ def eval_lemma_pos_diff(p, q, cfg: RadiusConfig | None = None) -> BoundReport:
     return _bound("LEM-POSDIFF", lambda: (lhs, rhs))
 
 
-def eval_bound_t3(a, cfg: RadiusConfig | None = None) -> BoundReport:
+def eval_bound_t3(a) -> BoundReport:
     """w(A)^2 <= || (|A|^2 + |A*|^2) / 2 || - m( ((|A| - |A*|)/2)^2 ).
 
     The form the surrounding chain results support; tight on the 2x2 Jordan
     block (both sides 1/4)."""
-    c = _ctx(a, cfg)
+    c = _ctx(a)
     rhs = 0.5 * c.gram_norm - 0.25 * c.abs_diff_sq_min
     return _bound("T3", lambda w: (w ** 2, rhs), c.omega)
 
 
-def eval_bound_t3_printed(a, cfg: RadiusConfig | None = None) -> BoundReport:
+def eval_bound_t3_printed(a) -> BoundReport:
     """Diagnostic variant: w(A)^2 <= ( || |A|^2+|A*|^2 || - m((|A|-|A*|)^2) ) / 2.
 
     Halving the subtracted minimum together with the norm makes the statement
     false in general; the 2x2 Jordan block gives lhs 0.25 against rhs 0.
     Violations are reported normally and are exempt from process exit codes."""
-    c = _ctx(a, cfg)
+    c = _ctx(a)
     rhs = 0.5 * (c.gram_norm - c.abs_diff_sq_min)
     return _bound("T3-PRINTED", lambda w: (w ** 2, rhs), c.omega)
 
 
-def eval_functional_chain(a, fp: FunctionPair, cfg: RadiusConfig | None = None) -> ChainReport:
+def eval_functional_chain(a, fp: FunctionPair) -> ChainReport:
     """f(w(A)) <= || g^{-1}( (g(f(|A|)) + g(f(|A*|))) / 2 ) || <= || f(|A|) + f(|A*|) || / 2.
 
     Matrix functions go through the singular spectrum of A; the midpoint
     matrix gets its own spectral decomposition for g^{-1}.  With the identity
     pair the chain collapses to KIT."""
-    c = _ctx(a, cfg)
-    _check_pair_hypotheses(fp)
+    c = _ctx(a)
     gof = lambda x: fp.g(fp.f(x))
     x_mid = 0.5 * np.add(*c.f_abs(gof))
     mid = operator_norm(apply_herm_fn(x_mid, fp.g_inverse))
@@ -442,7 +447,7 @@ def eval_functional_chain(a, fp: FunctionPair, cfg: RadiusConfig | None = None) 
     return _chain("FUNC", lambda w: (fp.f(w), mid, right), c.omega)
 
 
-def eval_chain_cor(a, r: float = 2.0, cfg: RadiusConfig | None = None) -> ChainReport:
+def eval_chain_cor(a, r: float = 2.0) -> ChainReport:
     """w(A)^r <= || S + I - sqrt(2 S + I) || / 2 <= || |A|^r + |A*|^r || / 2
     with S = |A|^r + |A*|^r + |A|^{r/2} + |A*|^{r/2} and r >= 2.
 
@@ -450,9 +455,8 @@ def eval_chain_cor(a, r: float = 2.0, cfg: RadiusConfig | None = None) -> ChainR
     root of 2S + I, matrix subtraction) and asserted equal, within tolerance,
     to the middle of the functional chain for the pair (x^r, x + sqrt(x));
     disagreement raises :class:`IdentityCheckError`."""
-    if r < 2:
-        raise ValueError("exponent r must be at least 2")
-    c = _ctx(a, cfg)
+    fp = power_sqrt_pair(r)
+    c = _ctx(a)
     r = float(r)
     pw = lambda x: x ** r + x ** (r / 2.0)
     s_mat = np.add(*c.f_abs(pw))
@@ -460,7 +464,7 @@ def eval_chain_cor(a, r: float = 2.0, cfg: RadiusConfig | None = None) -> ChainR
     root = apply_herm_fn(2.0 * s_mat + eye, np.sqrt)
     mid = 0.5 * operator_norm(s_mat + eye - root)
 
-    func = eval_functional_chain(c, power_sqrt_pair(r))
+    func = eval_functional_chain(c, fp)
     tol_mid = default_tolerance(mid, func.terms[1])
     if abs(mid - func.terms[1]) > tol_mid:
         raise IdentityCheckError(
@@ -475,8 +479,8 @@ def eval_chain_cor(a, r: float = 2.0, cfg: RadiusConfig | None = None) -> ChainR
 class CatalogEntry:
     """One registry entry.
 
-    ``evaluator(ctx, r)`` checks the entry on a :class:`MatrixContext`, with
-    ``r`` the exponent (read only by entries that take a ``:r`` suffix); the
+    ``evaluator(ctx)`` checks the entry on a :class:`MatrixContext`, or
+    ``evaluator(ctx, r)`` with ``r`` the exponent when ``takes_r``; the
     arity-2 lemmas have none.  Violations of a ``diagnostic`` entry never
     drive a process exit code and keep it out of the default study list."""
 
@@ -489,43 +493,33 @@ class CatalogEntry:
 
 
 _CATALOG: tuple[CatalogEntry, ...] = (
-    CatalogEntry("B0", "||A||/2 <= w(A) <= ||A||", 1, lambda c, r: eval_chain_b0(c)),
-    CatalogEntry("KIT", "w(A) <= || |A| + |A*| || / 2", 1, lambda c, r: eval_bound_kit(c)),
-    CatalogEntry(
-        "SQ",
-        "|| |A|^2+|A*|^2 ||/4 <= w(A)^2 <= || |A|^2+|A*|^2 ||/2",
-        1,
-        lambda c, r: eval_chain_sq(c),
-    ),
-    CatalogEntry("LEM1+", "||A + A*||/2 <= w(A)", 1, lambda c, r: eval_bound_lem1(c, 1)),
-    CatalogEntry("LEM1-", "||A - A*||/2 <= w(A)", 1, lambda c, r: eval_bound_lem1(c, -1)),
+    CatalogEntry("B0", "||A||/2 <= w(A) <= ||A||", 1, eval_chain_b0),
+    CatalogEntry("KIT", "w(A) <= || |A| + |A*| || / 2", 1, eval_bound_kit),
+    CatalogEntry("SQ", "|| |A|^2+|A*|^2 ||/4 <= w(A)^2 <= || |A|^2+|A*|^2 ||/2", 1, eval_chain_sq),
+    CatalogEntry("LEM1+", "||A + A*||/2 <= w(A)", 1, partial(eval_bound_lem1, sign=1)),
+    CatalogEntry("LEM1-", "||A - A*||/2 <= w(A)", 1, partial(eval_bound_lem1, sign=-1)),
     CatalogEntry(
         "T1",
         "|| |A|^2+|A*|^2 ||/4 <= (||A+A*||^2 + ||A-A*||^2)/8 <= w(A)^2",
         1,
-        lambda c, r: eval_chain_t1(c),
+        eval_chain_t1,
     ),
     CatalogEntry("LEM-SUM", "||A+B|| <= sqrt(||A*A + B*B|| + 2 w(B*A))", 2),
     CatalogEntry(
         "T2",
         "|| |A|^2+|A*|^2 ||/4 <= sqrt(2 w(A)^4 + w((A*-A)^2(A*+A)^2)/8)/2 <= w(A)^2",
         1,
-        lambda c, r: eval_chain_t2(c),
+        eval_chain_t2,
     ),
     CatalogEntry(
         "LEM-POSDIFF", "||P - Q|| <= max(||P||,||Q||) - min(m(P), m(Q)) for PSD P, Q", 2
     ),
-    CatalogEntry(
-        "T3",
-        "w(A)^2 <= || (|A|^2+|A*|^2)/2 || - m(((|A|-|A*|)/2)^2)",
-        1,
-        lambda c, r: eval_bound_t3(c),
-    ),
+    CatalogEntry("T3", "w(A)^2 <= || (|A|^2+|A*|^2)/2 || - m(((|A|-|A*|)/2)^2)", 1, eval_bound_t3),
     CatalogEntry(
         "T3-PRINTED",
         "w(A)^2 <= (|| |A|^2+|A*|^2 || - m((|A|-|A*|)^2))/2  [diagnostic, fails on the Jordan block]",
         1,
-        lambda c, r: eval_bound_t3_printed(c),
+        eval_bound_t3_printed,
         diagnostic=True,
     ),
     CatalogEntry(
@@ -577,15 +571,17 @@ def catalog_entry(token: str) -> CatalogEntry:
     return _BY_ID[parse_bound_id(token)[0]]
 
 
-def evaluate(token: str, a, cfg: RadiusConfig | None = None, r: float = 2.0):
-    """Evaluate a single-matrix catalog entry by id (``COR:3`` style suffixes
-    override the exponent).  Arity-2 lemmas cannot be evaluated here."""
+def evaluate(token: str, a, *, r: float = 2.0):
+    """Evaluate a single-matrix catalog entry by id on a matrix or a
+    :class:`MatrixContext` (``COR:3`` style suffixes override the exponent).
+    Arity-2 lemmas cannot be evaluated here."""
     base, suffix_r = parse_bound_id(token)
     entry = _BY_ID[base]
     if entry.evaluator is None:
         raise ValueError(f"bound {base} needs two matrices")
-    use_r = suffix_r if suffix_r is not None else float(r)
-    return entry.evaluator(_ctx(a, cfg), use_r)
+    if not entry.takes_r:
+        return entry.evaluator(_ctx(a))
+    return entry.evaluator(_ctx(a), suffix_r if suffix_r is not None else float(r))
 
 
 def summary_row(report) -> tuple[float, float, float, bool]:

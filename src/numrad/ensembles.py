@@ -256,11 +256,12 @@ def to_json(report: StudyReport) -> str:
 
 
 def tightness_compare(a, cfg: RadiusConfig | None = None) -> dict:
-    """Compare every lower and upper refinement of w(A)^2 on one matrix.
+    """Compare every lower and upper refinement of w(A)^2 on the matrix ``a``
+    (not a MatrixContext, which has its own cfg).
 
     Returns the squared radius, the candidate bounds on its either side, and
     which candidate is sharpest (largest lower, smallest upper)."""
-    ctx = bounds._ctx(a, cfg)
+    ctx = bounds.MatrixContext(a, cfg)
     rep = {bid: bounds.evaluate(bid, ctx) for bid in ("B0", "SQ", "T1", "T2", "T3", "KIT")}
     lower = {
         "B0": rep["B0"].terms[0] ** 2,

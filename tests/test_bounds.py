@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -247,17 +248,16 @@ def test_function_pair_validation():
         power_sqrt_pair(1.5)
 
 
-def test_function_pair_hypothesis_check(rng):
-    # g = x^2 is convex, so the concavity gate must fire
-    bad = FunctionPair(
-        f=lambda x: x,
-        g=lambda x: x ** 2,
-        g_inverse=lambda x: math.sqrt(x) if np.isscalar(x) else np.sqrt(x),
-        name="convex-g",
-    )
-    a = random_complex(rng, 2)
-    with pytest.raises(HypothesisFailed):
-        eval_functional_chain(a, bad)
+def test_function_pair_hypothesis_check():
+    # g = x^2 is convex, so the concavity gate must fire when the pair is
+    # built: no pair that fails it ever reaches an evaluation
+    with pytest.raises(HypothesisFailed, match="midpoint-concave"):
+        FunctionPair(
+            f=lambda x: x,
+            g=lambda x: x ** 2,
+            g_inverse=lambda x: math.sqrt(x) if np.isscalar(x) else np.sqrt(x),
+            name="convex-g",
+        )
 
 
 def test_parse_bound_id():
@@ -379,14 +379,28 @@ def test_context_caches_radius(rng):
 
 
 def test_context_rejects_a_different_cfg(rng):
-    # a context encloses with its own cfg, so a different one passed beside
-    # it is an error rather than silently ignored
+    # a context encloses with its own cfg, and there is no second place to
+    # pass one: a config beside it is an error rather than silently ignored
     ctx = MatrixContext(random_complex(rng, 3), RadiusConfig())
-    with pytest.raises(ValueError, match="differs"):
-        evaluate("B0", ctx, RadiusConfig(target_width=1e-3))
-    with pytest.raises(ValueError, match="differs"):
-        eval_bound_kit(ctx, RadiusConfig(grid_points=16))
-    assert evaluate("B0", ctx, RadiusConfig()).terms == evaluate("B0", ctx, None).terms
+    with pytest.raises(TypeError):
+        evaluate("B0", ctx, RadiusConfig())
+    with pytest.raises(TypeError):
+        eval_bound_kit(ctx, RadiusConfig())
+    # the functions that take a cfg take a raw matrix, never a context
+    for fn in (nb.cartesian_radius_pair, numrad.ensembles.tightness_compare, MatrixContext):
+        with pytest.raises(TypeError, match="own cfg"):
+            fn(ctx, RadiusConfig(grid_points=16))
+    for fn in (
+        eval_chain_b0, eval_bound_kit, eval_chain_sq, eval_bound_lem1, eval_chain_t1,
+        eval_chain_t2, eval_bound_t3, eval_bound_t3_printed, eval_functional_chain, eval_chain_cor,
+    ):
+        assert "cfg" not in inspect.signature(fn).parameters, fn.__name__
+    params = inspect.signature(evaluate).parameters
+    assert "cfg" not in params
+    assert params["r"].kind is inspect.Parameter.KEYWORD_ONLY
+    # a positional exponent is refused, not taken for a config
+    with pytest.raises(TypeError):
+        evaluate("COR", J, 3)
 
 
 def test_tolerance_absorbs_enclosure_width(rng):

@@ -324,15 +324,27 @@ def test_identity_check_error_exits_1(jordan_mtx, capsys, monkeypatch):
     assert "error: routes disagree" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_overflow_exits_1_without_traceback(tmp_path, capsys):
-    # ||A + A*||^2 overflows a Python float at this scale
-    path = tmp_path / "huge.json"
-    a = generate(EnsembleSpec("ginibre", 3, 1, seed=0), 0) * 1e300
-    save_matrix(a, str(path))
-    assert main(["bounds", "--input", str(path), "--bounds", "T1"]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error:")
-    assert "Traceback" not in err
+    # every entry is finite, yet a quantity the bound needs overflows
+    cases = (
+        # A*A + AA*: the error names that product, not the user's matrix
+        (generate(EnsembleSpec("ginibre", 3, 1, seed=0), 0) * 1e300, ("SQ", "T3", "T1"), "A*A + AA*"),
+        # A*A + AA* is finite, T1's middle term is not
+        (3.87e153 * np.ones((2, 2)), ("T1",), "||A+A*||^2 + ||A-A*||^2"),
+        # w(A)^4 in T2 raises a Python OverflowError, which main's
+        # ArithmeticError clause turns into an error line
+        (1e100 * np.eye(2), ("T2",), None),
+    )
+    for k, (a, ids, product) in enumerate(cases):
+        path = tmp_path / f"huge{k}.json"
+        save_matrix(a, str(path))
+        for bid in ids:
+            assert main(["bounds", "--input", str(path), "--bounds", bid]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and "Traceback" not in err
+            if product is not None:
+                assert err == f"error: {product} is not finite in double precision (entries overflow)\n"
 
 
 def test_catalog_json(capsys):

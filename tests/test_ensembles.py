@@ -174,31 +174,42 @@ def test_run_study_records_catalog_failures(exc, monkeypatch):
     assert report.failures == ((1, repr(exc("rejected"))),)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_run_study_records_overflowing_draw(monkeypatch):
-    # at scale 1e150 the fourth-order product of T2 overflows; that ends the
-    # draw with a DomainError naming the product, not the whole study
+    # at scale 1e150 the fourth-order product of T2 overflows, at 3.5e153
+    # T1's middle term, and at 1e300 A*A + AA* itself; each ends the draw
+    # with a DomainError naming the quantity, not the whole study
     real = numrad.ensembles.generate
     spec = EnsembleSpec("ginibre", 3, 3, seed=0)
+    cases = (
+        (1e150, ["B0", "T2"], "(A* - A)^2 (A* + A)^2"),
+        (3.5e153, ["T1"], "||A+A*||^2 + ||A-A*||^2"),
+        (1e300, ["SQ", "T1", "T3"], "A*A + AA*"),
+    )
+    for scale, ids, product in cases:
+        def scaled(s, index):
+            a = real(s, index)
+            return a * scale if index == 1 else a
 
-    def scaled(s, index):
-        a = real(s, index)
-        return a * 1e150 if index == 1 else a
-
-    monkeypatch.setattr(numrad.ensembles, "generate", scaled)
-    report = run_study(spec, ["B0", "T2"])
-    assert [r.index for r in report.rows] == [0, 0, 2, 2]
-    assert len(report.failures) == 1
-    index, text = report.failures[0]
-    assert index == 1
-    assert text.startswith("DomainError(") and "(A* - A)^2 (A* + A)^2" in text
+        monkeypatch.setattr(numrad.ensembles, "generate", scaled)
+        report = run_study(spec, ids)
+        assert [r.index for r in report.rows] == [0] * len(ids) + [2] * len(ids)
+        assert len(report.failures) == 1
+        index, text = report.failures[0]
+        assert index == 1
+        assert text.startswith("DomainError(") and product in text
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_context_products_reject_overflow():
-    ctx = MatrixContext(generate(EnsembleSpec("ginibre", 3, 1, seed=0), 0) * 1e150)
+    a = generate(EnsembleSpec("ginibre", 3, 1, seed=0), 0)
+    ctx = MatrixContext(a * 1e150)
     with pytest.raises(DomainError, match=r"\(A\* - A\)\^2"):
         ctx.quad_product
     with pytest.raises(DomainError, match=r"C\^2 B\^2"):
         ctx.c2b2
+    with pytest.raises(DomainError, match=r"A\*A \+ AA\*"):
+        MatrixContext(a * 1e300).gram_sum
 
 
 def test_csv_deterministic():
