@@ -377,12 +377,15 @@ def eval_chain_t2(a) -> ChainReport:
         raise IdentityCheckError(
             f"||(A*-A)^2(A*+A)^2 + 16 C^2B^2|| = {gap:.3e} above {allow:.3e}"
         )
-    return _chain(
-        "T2",
-        lambda w, wq: (0.25 * c.gram_norm, 0.5 * math.sqrt(2.0 * w ** 4 + wq / 8.0), w ** 2),
-        c.omega,
-        c.omega_quad,
-    )
+
+    def terms(w, wq):
+        quarter = 0.25 * c.gram_norm  # first, so an overflowing A*A + AA* is named first
+        with np.errstate(over="ignore"):
+            inner = 2.0 * np.float64(w) ** 4 + np.float64(wq) / 8.0
+        inner = _finite_product(inner, "2 w(A)^4 + w((A*-A)^2 (A*+A)^2)/8")
+        return quarter, 0.5 * math.sqrt(inner), w ** 2
+
+    return _chain("T2", terms, c.omega, c.omega_quad)
 
 
 def eval_lemma_pos_diff(p, q, cfg: RadiusConfig | None = None) -> BoundReport:

@@ -97,7 +97,9 @@ def svd(a) -> SvdResult:
 
 
 def _hermitize(m: np.ndarray) -> np.ndarray:
-    return 0.5 * (m + m.conj().T)
+    # halving first: exact for normal numbers, and finite whenever the
+    # symmetrized matrix is, where m + m* can overflow
+    return 0.5 * m + 0.5 * m.conj().T
 
 
 def _gated_hermitian(a) -> np.ndarray:

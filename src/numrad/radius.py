@@ -26,15 +26,58 @@ eigenvector of H(theta)) only ever raises the lower bound.  It starts from
 the vertex of the parabola through the sweep peak and its two neighbours
 when the top eigenvalue there beats the peak; every lambda_max(H(theta)) is
 a lower bound, so the warm start cannot break the certificate.
+
+When the numerical range is a disk centred at 0 (the Jordan block, weighted
+shifts, every 2x2 nilpotent matrix) the envelope is constant, nothing is
+pruned, and the grid would have to double to 65536-131072 points.  Such
+inputs are recognised after the sweep: if on at least half of its intervals
+the envelope stays within the factor cos(pi / 64) of lower (at the default
+64 points: the first pass keeps half its intervals), a grid-free certificate
+is tried once, at the trial radius r = lower + target / 2.  By Ando's
+theorem (Acta Sci. Math. 34, 1973), w(A) <= r iff some Hermitian Z makes
+
+    M(Z) = [[r I + Z, A], [A*, r I - Z]]
+
+positive semidefinite, and M(Z) + mu I is the same matrix at the radius
+r + mu.  So for ANY Hermitian Z, w(A) <= r + max(0, -lambda_min(M(Z))).  A good Z comes from
+the maximal solution X of X + A X^{-1} A* = 2 r I (Z = r I - X makes the
+Schur complement of X vanish); cyclic reduction (Meini, Math. Comp. 71,
+2002) finds it with n x n solves.  Soundness does not depend on that solver:
+a poor Z only loosens the bound.
+
+Rounding is covered by Weyl's inequality, |lambda_k(P + E) - lambda_k(P)|
+<= ||E||_2 for Hermitian P, E.  The stored matrix M~ is exactly Hermitian
+(Z is symmetrized, A and A* are copied) and differs from M(Z) only on the
+diagonal, where r +- z_ii is rounded: M~ = M(Z) + D with |D_jj| <= u |M~_jj|
+(u = eps / 2), so ||D||_2 <= eps ||M~||_inf.  eigvalsh returns the exact
+eigenvalues of M~ + E with ||E||_2 <= RESIDUAL_FACTOR * 2n * eps * ||M~||_2,
+the same kernel-accuracy allowance the grid uses, and ||M~||_2 <= ||M~||_inf
+for a Hermitian matrix.  Hence
+
+    lambda_min(M(Z)) >= lambda_min~ - (RESIDUAL_FACTOR * 2n + 1) eps ||M~||_inf.
+
+Forming upper = r + mu + slack takes three roundings, each under u times a
+sum of at most 2.5 ||M~||_inf (r is at most the larger of r +- z_ii, and
+mu = -lambda_min~ at most about ||M~||_2), and summing ||M~||_inf in floating
+point loses a relative (2n + 1) u of the slack term: under 5 eps ||M~||_inf
+in all.  The reported bound is
+
+    upper = r + max(0, -lambda_min~) + (RESIDUAL_FACTOR * 2n + 6) eps ||M~||_inf.
+
+When it is within the target width of lower, the enclosure ends there and
+``grid_points`` stays the sweep's size; otherwise (a loose Z, or an ascent
+stalled below w(A) so that r < w(A)) grid refinement runs unchanged from the
+same sweep.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import EPS, RESIDUAL_FACTOR, as_square, operator_norm
+from .linalg import EPS, RESIDUAL_FACTOR, _hermitize, as_square, operator_norm
 
 TWO_PI = 2.0 * np.pi
 
@@ -51,6 +94,18 @@ _ORACLE_CHUNK = 20000
 
 # Step cap of each Rayleigh ascent.
 _ASCENT_STEPS = 200
+
+# Step cap of the cyclic reduction behind the LMI certificate.  It converges
+# quadratically for r > w(A); disk-shaped inputs need a handful of steps, and
+# even r = w(A) (linear convergence, rate 1/2) meets the stop rule in fewer.
+_LMI_STEPS = 50
+
+# The envelope counts as flat when, on at least half of the sweep's
+# intervals, the larger endpoint value is within this factor of the lower
+# bound.  It is the secant factor cos(h/2) of the default 64-point sweep: at
+# that size the rule reads "the first pass keeps half its intervals", and a
+# coarser sweep does not loosen it.
+_FLAT = math.cos(math.pi / 64)
 
 # Folds negative or oversized seeds into numpy's unsigned 64-bit seed range.
 _SEED_MASK = (1 << 64) - 1
@@ -103,7 +158,8 @@ class RadiusEstimate:
     ``witness`` is a unit vector with |<A witness, witness>| equal to
     ``lower`` (to rounding), ``theta_star`` the angle in [0, 2 pi) at which
     the maximum was located, ``grid_points`` the resolution of the grid the
-    upper certificate refers to.
+    upper certificate refers to; when the LMI certificate sets ``upper``, it
+    is the initial sweep's size, the grid was never refined.
     """
 
     lower: float
@@ -240,10 +296,60 @@ def _grid_upper(peak, h: float, slack: float):
     return np.maximum(peak, 0.0) / np.cos(h / 2.0) + slack
 
 
+def _lmi_upper(m: np.ndarray, r: float, target: float) -> float:
+    """Certified upper bound on w(A) from Ando's LMI at the trial radius r
+    (see the module docstring); ``math.inf`` when M is not finite or its
+    eigensolve fails.
+
+    Cyclic reduction for the maximal solution X of X + A X^{-1} A* = 2 r I
+    (Meini's X + B* X^{-1} B = Q with B = A*) runs on the equation divided by
+    the power of two 2^k <= r < 2^(k+1), so neither huge nor tiny inputs
+    overflow or underflow the iteration.  It stops once ||B_k||_F^2 <= 0.1
+    target 2 r, after ``_LMI_STEPS`` steps, or on a failed or non-finite step,
+    keeping the last finite X.
+    """
+    n = m.shape[0]
+    scale = math.ldexp(1.0, math.frexp(r)[1] - 1)
+    q = 2.0 * (r / scale)
+    eye = np.eye(n)
+    b = m.conj().T / scale
+    x = q * eye
+    y = q * eye
+    # ||B_k||^2 <= 0.1 target 2r in scaled units, without squaring
+    stop = math.sqrt(0.1 * target / scale) * math.sqrt(q)
+    for _ in range(_LMI_STEPS):
+        # also ends on a non-finite B_k
+        if not np.linalg.norm(b) > stop:
+            break
+        bh = b.conj().T
+        try:
+            sol = np.linalg.solve(y, np.concatenate([b, bh], axis=1))
+        except np.linalg.LinAlgError:
+            break
+        yb, ybh = sol[:, :n], sol[:, n:]
+        bhyb = bh @ yb
+        x_next = x - bhyb
+        if not np.all(np.isfinite(x_next)):
+            break
+        x, y, b = x_next, y - b @ ybh - bhyb, b @ yb
+
+    z = _hermitize(r * eye - scale * x)
+    mm = np.block([[r * eye + z, m], [m.conj().T, r * eye - z]])
+    if not np.all(np.isfinite(mm)):
+        return math.inf
+    try:
+        lam = float(np.linalg.eigvalsh(mm)[0])
+    except np.linalg.LinAlgError:
+        return math.inf
+    norm_inf = float(np.abs(mm).sum(axis=1).max())
+    return r + max(0.0, -lam) + (RESIDUAL_FACTOR * 2 * n + 6) * EPS * norm_inf
+
+
 def numerical_radius(a, cfg: RadiusConfig | None = None) -> RadiusEstimate:
     """Certified enclosure of w(A): sweep, Rayleigh refinement from a
-    parabolic warm start, then grid doubling (with interval pruning) until
-    upper - lower <= target width.
+    parabolic warm start, one try of the LMI certificate when the envelope is
+    flat, then grid doubling (with interval pruning) until upper - lower <=
+    target width.
 
     Raises :class:`EnclosureNotReached` carrying the best estimate if the
     grid cap of 2**20 points is insufficient.
@@ -279,6 +385,16 @@ def numerical_radius(a, cfg: RadiusConfig | None = None) -> RadiusEstimate:
         upper = max(lower, float(certs.max()))
         if upper - lower <= target:
             break
+        # refining a flat envelope would prune nothing: try the grid-free
+        # certificate once instead
+        flat = nn == cfg.grid_points and 2 * np.count_nonzero(
+            np.maximum(gl, gr) > _FLAT * lower
+        ) >= nn
+        if flat:
+            lmi = _lmi_upper(m, lower + target / 2.0, target)
+            if lmi - lower <= target:
+                upper = lmi
+                break
         if 2 * nn > GRID_CAP:
             best = RadiusEstimate(lower, upper, theta % TWO_PI, x, nn, iters)
             raise EnclosureNotReached(

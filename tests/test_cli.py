@@ -332,9 +332,8 @@ def test_overflow_exits_1_without_traceback(tmp_path, capsys):
         (generate(EnsembleSpec("ginibre", 3, 1, seed=0), 0) * 1e300, ("SQ", "T3", "T1"), "A*A + AA*"),
         # A*A + AA* is finite, T1's middle term is not
         (3.87e153 * np.ones((2, 2)), ("T1",), "||A+A*||^2 + ||A-A*||^2"),
-        # w(A)^4 in T2 raises a Python OverflowError, which main's
-        # ArithmeticError clause turns into an error line
-        (1e100 * np.eye(2), ("T2",), None),
+        # every product T2 gates is finite, 2 w(A)^4 is not
+        (1e100 * np.eye(2), ("T2",), "2 w(A)^4 + w((A*-A)^2 (A*+A)^2)/8"),
     )
     for k, (a, ids, product) in enumerate(cases):
         path = tmp_path / f"huge{k}.json"
@@ -342,9 +341,16 @@ def test_overflow_exits_1_without_traceback(tmp_path, capsys):
         for bid in ids:
             assert main(["bounds", "--input", str(path), "--bounds", bid]) == 1
             err = capsys.readouterr().err
-            assert err.startswith("error:") and "Traceback" not in err
-            if product is not None:
-                assert err == f"error: {product} is not finite in double precision (entries overflow)\n"
+            assert err == f"error: {product} is not finite in double precision (entries overflow)\n"
+    # f(w) = w^20 at the upper end of a loose enclosure (an 8-point sweep,
+    # cos(pi/8) below w) is a Python float power past the double range while
+    # |A|^20 is not; main's ArithmeticError clause turns its OverflowError
+    # into an error line
+    path = tmp_path / "power.json"
+    save_matrix(np.array([[4e307 ** (1 / 20)]]), str(path))
+    argv = ["--bounds", "FUNC", "--r", "20", "--grid", "8", "--width", "1e300"]
+    assert main(["bounds", "--input", str(path), *argv]) == 1
+    assert capsys.readouterr().err == "error: (34, 'Numerical result out of range')\n"
 
 
 def test_catalog_json(capsys):

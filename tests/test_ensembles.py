@@ -177,21 +177,23 @@ def test_run_study_records_catalog_failures(exc, monkeypatch):
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_run_study_records_overflowing_draw(monkeypatch):
     # at scale 1e150 the fourth-order product of T2 overflows, at 3.5e153
-    # T1's middle term, and at 1e300 A*A + AA* itself; each ends the draw
-    # with a DomainError naming the quantity, not the whole study
+    # T1's middle term, and at 1e300 A*A + AA* itself; on 1e100 I every
+    # product is finite but T2's w(A)^4 is not.  Each ends the draw with a
+    # DomainError naming the quantity, not the whole study
     real = numrad.ensembles.generate
     spec = EnsembleSpec("ginibre", 3, 3, seed=0)
     cases = (
-        (1e150, ["B0", "T2"], "(A* - A)^2 (A* + A)^2"),
-        (3.5e153, ["T1"], "||A+A*||^2 + ||A-A*||^2"),
-        (1e300, ["SQ", "T1", "T3"], "A*A + AA*"),
+        (lambda a: a * 1e150, ["B0", "T2"], "(A* - A)^2 (A* + A)^2"),
+        (lambda a: a * 3.5e153, ["T1"], "||A+A*||^2 + ||A-A*||^2"),
+        (lambda a: a * 1e300, ["SQ", "T1", "T3"], "A*A + AA*"),
+        (lambda a: 1e100 * np.eye(2), ["B0", "T2"], "2 w(A)^4 + w((A*-A)^2 (A*+A)^2)/8"),
     )
-    for scale, ids, product in cases:
-        def scaled(s, index):
+    for replace, ids, product in cases:
+        def patched(s, index):
             a = real(s, index)
-            return a * scale if index == 1 else a
+            return replace(a) if index == 1 else a
 
-        monkeypatch.setattr(numrad.ensembles, "generate", scaled)
+        monkeypatch.setattr(numrad.ensembles, "generate", patched)
         report = run_study(spec, ids)
         assert [r.index for r in report.rows] == [0] * len(ids) + [2] * len(ids)
         assert len(report.failures) == 1
@@ -210,6 +212,14 @@ def test_context_products_reject_overflow():
         ctx.c2b2
     with pytest.raises(DomainError, match=r"A\*A \+ AA\*"):
         MatrixContext(a * 1e300).gram_sum
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_gram_sum_finite_below_overflow():
+    # A*A + AA* = diag(1.28e308, 0) is finite; symmetrizing it must not pass
+    # through the overflowing sum of the matrix and its adjoint
+    gram = MatrixContext(np.diag([8e153, 0.0])).gram_sum
+    assert np.array_equal(gram, np.diag([8e153 ** 2 * 2, 0.0]))
 
 
 def test_csv_deterministic():

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 
 import numrad
 import numrad.radius
+from numrad.ensembles import FAMILIES, EnsembleSpec, generate
 from numrad.linalg import operator_norm
 from numrad.radius import (
     EnclosureNotReached,
@@ -13,6 +14,7 @@ from numrad.radius import (
     TWO_PI,
     RadiusConfig,
     _envelope_gvals,
+    _lmi_upper,
     _sweep_chunk,
     _top_vector,
     herm_envelope,
@@ -358,3 +360,116 @@ def test_warm_start_never_below_sweep(rng):
         assert est.lower >= plain
         got = abs(np.vdot(est.witness, a @ est.witness))
         assert got == pytest.approx(est.lower, abs=1e-13 * max(1.0, est.lower))
+
+
+def _grid_only(monkeypatch, a):
+    """The default enclosure with the LMI certificate switched off: the grid
+    alone sets ``upper``."""
+    with monkeypatch.context() as patch:
+        patch.setattr(numrad.radius, "_lmi_upper", lambda m, r, target: math.inf)
+        return numerical_radius(a)
+
+
+def test_lmi_upper_is_sound_across_families(monkeypatch):
+    # the LMI bound shares no code with the grid, so each is an independent
+    # upper oracle for the other: below, at and above w(A) it never falls
+    # under the grid enclosure's lower end
+    for family in FAMILIES:
+        for n in (2, 5, 13):
+            spec = EnsembleSpec(family, n, 3, seed=8)
+            for index in range(3):
+                a = generate(spec, index)
+                est = _grid_only(monkeypatch, a)
+                target = RadiusConfig().resolve_target(operator_norm(a))
+                w = est.lower
+                for r in (w * (1 - 1e-2), w * (1 - 1e-6), w, w * (1 + 1e-10)):
+                    got = _lmi_upper(a, r, target)
+                    assert got >= est.lower, (family, n, index, r, got - est.lower)
+
+
+def _hexagon_like(rng):
+    """A normal matrix with eigenvalues near the vertices of a regular
+    hexagon, plus a small strictly upper triangular perturbation: six local
+    maxima of nearly equal height on the envelope."""
+    angles = np.arange(6) * (math.pi / 3) + 1e-3 * rng.standard_normal(6)
+    vals = (1 + 1e-3 * rng.standard_normal(6)) * np.exp(1j * angles)
+    q, _ = np.linalg.qr(random_complex(rng, 6))
+    return (q * vals) @ q.conj().T + 1e-3 * np.triu(random_complex(rng, 6), 1)
+
+
+def test_lmi_fallback_keeps_enclosure(rng, monkeypatch):
+    # at a local maximum below w(A), where a stalled ascent would leave r, the
+    # LMI bound stays above w(A) and misses the width, so the grid decides
+    diag = np.diag([1.0, -0.99]).astype(complex)
+    est = numerical_radius(diag)
+    assert est.lower == 1.0 <= est.upper
+    for a, local in ((diag, 0.99), (_hexagon_like(rng), None)):
+        # w(A) lies in both enclosures
+        grid = _grid_only(monkeypatch, a)
+        est = numerical_radius(a)
+        assert max(est.lower, grid.lower) <= min(est.upper, grid.upper)
+        assert est.width <= 1e-9 * max(1.0, operator_norm(a))
+        target = RadiusConfig().resolve_target(operator_norm(a))
+        if local is None:
+            g = _envelope_gvals(a, a.conj().T, np.arange(4096) * (TWO_PI / 4096))
+            peaks = np.sort(g[(g >= np.roll(g, 1)) & (g >= np.roll(g, -1))])
+            local = float(peaks[-2])
+            assert local < grid.lower - 10 * target
+        got = _lmi_upper(a, local + target / 2, target)
+        assert got >= grid.lower
+        assert got - local > target
+
+
+def test_failed_lmi_falls_back_to_the_same_grid(monkeypatch):
+    # a certificate that misses the width leaves the grid loop exactly as it
+    # runs without one, from the same sweep
+    for a in (J, 0.5j * J):
+        grid = _grid_only(monkeypatch, a)
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                numrad.radius, "_lmi_upper", lambda m, r, target: _lmi_upper(m, 0.9 * r, target)
+            )
+            est = numerical_radius(a)
+        assert est.grid_points == grid.grid_points > RadiusConfig().grid_points
+        fields = ("lower", "upper", "theta_star", "refinement_iters")
+        assert [getattr(est, f) for f in fields] == [getattr(grid, f) for f in fields]
+
+
+def test_disk_ranges_take_the_lmi_path(rng, monkeypatch):
+    # a constant envelope keeps every sweep interval, and one LMI certificate
+    # replaces the 65k-131k point refinement; a generic draw never calls it
+    calls = []
+
+    def counting(m, r, target):
+        calls.append(r)
+        return _lmi_upper(m, r, target)
+
+    monkeypatch.setattr(numrad.radius, "_lmi_upper", counting)
+    weighted = np.diag(rng.uniform(0.5, 2.0, 12), 1).astype(complex)
+    for a, w in ((J, 0.5), (1.5j * shift_matrix(8), 1.5 * math.cos(math.pi / 9)), (weighted, None)):
+        calls.clear()
+        est = numerical_radius(a)
+        assert len(calls) == 1
+        assert est.grid_points == RadiusConfig().grid_points == 64
+        assert est.width <= 1e-9 * max(1.0, operator_norm(a))
+        if w is not None:
+            assert est.lower - 1e-15 <= w <= est.upper
+    calls.clear()
+    est = numerical_radius(random_complex(rng, 32))
+    assert calls == []
+    assert est.grid_points > 64
+
+
+def test_lmi_path_at_extreme_scales():
+    # J * 1e300 and J * 1e-200: either the LMI meets the width or the grid
+    # does, and the enclosure holds w = scale / 2 either way, also with a
+    # target small enough that the sweep alone cannot meet it
+    for scale in (1e300, 1e-200):
+        a = J * scale
+        w = 0.5 * scale
+        for cfg in (RadiusConfig(), RadiusConfig(target_width=1e-12 * scale)):
+            est = numerical_radius(a, cfg)
+            assert est.lower <= w * (1 + 1e-15) and w <= est.upper
+            assert est.width <= cfg.resolve_target(scale)
+        for r in (w * (1 - 1e-6), w, w * (1 + 1e-10)):
+            assert _lmi_upper(a, r, 1e-12 * scale) >= w
