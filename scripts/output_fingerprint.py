@@ -11,16 +11,13 @@ Covered: study CSV and failures for every family at dims 2/5/13 with the
 default and the ``COR:3,FUNC:3`` id lists; ``bounds --bounds all`` in json,
 csv and human on the 2x2 Jordan block and a seeded 6x6 ginibre draw;
 ``radius --output json`` on the 12 seed-1 ``enclose-large`` inputs of
-``bench/workloads.py``, and with ``--samples 2000 --seed 5`` on the Jordan
-block, the ginibre draw and, at ``--grid 8``, a 2x2 real-gaussian draw on
-which the oracle's second ascent runs; every field of the
-``numerical_radius`` estimates of the seed-1 smoke ``enclose-disk`` cycle
-(disk-shaped ranges, where no interval is ever pruned); the two-matrix
-lemmas and ``tightness_compare``.  Through the CLI as well: ``radius`` in
-human and csv, with and without ``--samples 300 --seed 3``, and ``bounds
---bounds B0,T3-PRINTED,COR:3,FUNC --r 2.5`` in all three formats, on the
-Jordan block and the ginibre draw; ``study`` in human and json on ginibre and
-nilpotent draws and one ``--samples 50`` run (``elapsed_seconds`` masked);
+``bench/workloads.py``; every field of the ``numerical_radius`` estimates of
+the seed-1 smoke ``enclose-disk`` cycle (disk-shaped ranges, where no
+interval is ever pruned); the two-matrix lemmas and ``tightness_compare``.
+Through the CLI as well: ``radius`` in human and csv, and ``bounds --bounds
+B0,T3-PRINTED,COR:3,FUNC --r 2.5`` in all three formats, on the Jordan block
+and the ginibre draw; ``study`` in human and json on ginibre and nilpotent
+draws (``elapsed_seconds`` masked);
 ``catalog`` in all three formats; the exit status and standard error of a
 missing input file, an unknown bound id and an unknown family.  The
 non-default ``RadiusConfig`` path as well: ``evaluate`` of every arity-1 id
@@ -58,11 +55,10 @@ STUDY_DIMS = (2, 5, 13)
 SUBSET_IDS = "B0,T3-PRINTED,COR:3,FUNC"
 CONTEXT_CFG = RadiusConfig(grid_points=16, target_width=1e-6)
 CONTEXT_IDS = [e.bound_id for e in bounds.catalog_list() if e.arity == 1] + ["COR:3", "FUNC:3"]
-# (family, dim, count, seed, extra flags) of the `numrad study` runs
+# (family, dim, count, seed) of the `numrad study` runs
 STUDY_CLI_RUNS = (
-    ("ginibre", "4", "3", "2", ()),
-    ("nilpotent-shift-random", "3", "3", "2", ()),
-    ("ginibre", "3", "2", "5", ("--samples", "50")),
+    ("ginibre", "4", "3", "2"),
+    ("nilpotent-shift-random", "3", "3", "2"),
 )
 
 
@@ -78,13 +74,6 @@ def _estimate_text(est) -> str:
     """Every field of a RadiusEstimate, the witness as its raw bytes."""
     fields = (est.lower, est.upper, est.theta_star, est.grid_points, est.refinement_iters)
     return "".join(f"{v!r}\n" for v in fields) + est.witness.tobytes().hex() + "\n"
-
-
-def _radius_with_oracle(out: pathlib.Path, name: str, src: pathlib.Path, *flags: str) -> None:
-    dst = out / f"radius-oracle-{name}.json"
-    argv = ["radius", "--input", str(src), *flags, "--samples", "2000", "--seed", "5"]
-    argv += ["--output", "json", "--out", str(dst)]
-    (out / f"radius-oracle-{name}.status").write_text(_cli(argv))
 
 
 def write_outputs(out: pathlib.Path) -> None:
@@ -111,11 +100,9 @@ def write_outputs(out: pathlib.Path) -> None:
             argv += ["--output", fmt, "--out", str(dst)]
             (out / f"bounds-subset-{name}-{fmt}.status").write_text(_cli(argv))
         for fmt in ("human", "csv"):
-            for tag, flags in (("plain", ()), ("samples", ("--samples", "300", "--seed", "3"))):
-                dst = out / f"radius-{tag}-{name}.{fmt}"
-                argv = ["radius", "--input", str(src), *flags, "--output", fmt, "--out", str(dst)]
-                (out / f"radius-{tag}-{name}-{fmt}.status").write_text(_cli(argv))
-        _radius_with_oracle(out, name, src)
+            dst = out / f"radius-plain-{name}.{fmt}"
+            argv = ["radius", "--input", str(src), "--output", fmt, "--out", str(dst)]
+            (out / f"radius-plain-{name}-{fmt}.status").write_text(_cli(argv))
         lemmas = {
             "LEM-SUM": bounds.report_dict("LEM-SUM", bounds.eval_lemma_norm_sum(a, a.conj().T @ a)),
             "LEM-POSDIFF": bounds.report_dict(
@@ -132,18 +119,11 @@ def write_outputs(out: pathlib.Path) -> None:
         pair = bounds.cartesian_radius_pair(a, CONTEXT_CFG)
         (out / f"cartesian-{name}.txt").write_text("".join(map(_estimate_text, pair)))
 
-    # at --grid 8 the oracle beats the first ascent on this draw, so the
-    # enclosure runs its second ascent from the oracle's vector
-    draw = ensembles.generate(ensembles.EnsembleSpec("real-gaussian", 2, 1, seed=11), 0)
-    src = out / "real-gaussian2.json"
-    src.write_text(matio.dumps_json_matrix(draw))
-    _radius_with_oracle(out, "real-gaussian2", src, "--grid", "8")
-
-    for k, (family, dim, count, seed, flags) in enumerate(STUDY_CLI_RUNS):
+    for k, (family, dim, count, seed) in enumerate(STUDY_CLI_RUNS):
         for fmt in ("human", "json"):
             dst = out / f"study-cli-{k}.{fmt}"
             argv = ["study", "--family", family, "--dim", dim, "--count", count, "--seed", seed]
-            argv += [*flags, "--output", fmt, "--out", str(dst)]
+            argv += ["--output", fmt, "--out", str(dst)]
             (out / f"study-cli-{k}-{fmt}.status").write_text(_cli(argv))
             # the one timing field; every other byte is fixed by the seeds
             dst.write_text(re.sub(r"(elapsed_seconds\W+)[-+.\deE]+", r"\1*", dst.read_text()))

@@ -447,7 +447,13 @@ def eval_functional_chain(a, fp: FunctionPair) -> ChainReport:
     x_mid = 0.5 * np.add(*c.f_abs(gof))
     mid = operator_norm(apply_herm_fn(x_mid, fp.g_inverse))
     right = 0.5 * operator_norm(np.add(*c.f_abs(fp.f)))
-    return _chain("FUNC", lambda w: (fp.f(w), mid, right), c.omega)
+
+    def terms(w):
+        with np.errstate(over="ignore"):
+            lhs = np.float64(fp.f(np.float64(w)))
+        return _finite_product(lhs, "f(w(A))"), mid, right
+
+    return _chain("FUNC", terms, c.omega)
 
 
 def eval_chain_cor(a, r: float = 2.0) -> ChainReport:
@@ -474,7 +480,8 @@ def eval_chain_cor(a, r: float = 2.0) -> ChainReport:
             f"corollary middle {mid!r} disagrees with functional middle "
             f"{func.terms[1]!r} beyond {tol_mid:.3e}"
         )
-    # FUNC's right-hand term is || |A|^r + |A*|^r || / 2 for this pair
+    # FUNC's right-hand term is || |A|^r + |A*|^r || / 2 for this pair, and
+    # its left-hand term is w(A)^r, already checked finite at both ends
     return _chain("COR", lambda w: (w ** r, mid, func.terms[2]), c.omega)
 
 

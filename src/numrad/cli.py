@@ -59,13 +59,11 @@ def _add_matrix_flags(sp) -> None:
     )
 
 
-def _add_radius_flags(sp, seed_help: str = "oracle seed") -> None:
+def _add_radius_flags(sp) -> None:
     sp.add_argument(
         "--grid", type=int, default=RadiusConfig.grid_points, help="initial sweep size"
     )
     sp.add_argument("--width", type=float, default=None, help="enclosure width target")
-    sp.add_argument("--seed", type=int, default=0, help=seed_help)
-    sp.add_argument("--samples", type=int, default=0, help="random oracle samples")
 
 
 def _add_output_flags(sp, default: str) -> None:
@@ -101,7 +99,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--family", required=True, help="ensemble family name")
     sp.add_argument("--dim", type=int, required=True, help="matrix dimension")
     sp.add_argument("--count", type=int, required=True, help="number of draws")
-    _add_radius_flags(sp, seed_help="ensemble seed, also the oracle seed")
+    _add_radius_flags(sp)
+    sp.add_argument("--seed", type=int, default=0, help="ensemble seed")
     sp.add_argument(
         "--bounds", default=None, metavar="IDS",
         help="comma-separated catalog ids (default: all sound single-matrix entries)",
@@ -137,12 +136,7 @@ def _load_square(args):
 
 
 def _radius_cfg(args) -> RadiusConfig:
-    return RadiusConfig(
-        grid_points=args.grid,
-        target_width=args.width,
-        seed=args.seed,
-        oracle_samples=args.samples,
-    )
+    return RadiusConfig(grid_points=args.grid, target_width=args.width)
 
 
 def _estimate_text(est, output: str) -> str:
@@ -263,7 +257,7 @@ def cmd_study(args) -> int:
             f"slack max        {_h6(stats['max'])}\n"
             f"tight_fraction   {_h6(report.tight_fraction)}\n"
             f"elapsed_seconds  {_h6(report.elapsed_seconds)}\n"
-            f"seeds_used       {','.join(str(s) for s in report.seeds_used)}\n"
+            f"seeds_used       {spec.seed}\n"
         )
     else:
         text = ensembles.to_json(report)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -135,8 +135,6 @@ class StudyReport:
     slack_stats: dict
     tight_fraction: float
     elapsed_seconds: float
-    seeds_used: tuple[int, ...]
-    radius_config: RadiusConfig = field(default_factory=RadiusConfig)
 
 
 def _rel_slack(row: StudyRow) -> float:
@@ -207,9 +205,6 @@ def run_study(
     else:
         stats = {"min": 0.0, "median": 0.0, "max": 0.0}
         tight = 0.0
-    seeds = (spec.seed,)
-    if cfg.oracle_samples > 0:
-        seeds = (spec.seed, cfg.seed)
     return StudyReport(
         spec=spec,
         bound_ids=tokens,
@@ -219,8 +214,6 @@ def run_study(
         slack_stats=stats,
         tight_fraction=float(tight),
         elapsed_seconds=float(elapsed),
-        seeds_used=seeds,
-        radius_config=cfg,
     )
 
 
@@ -250,7 +243,7 @@ def to_json(report: StudyReport) -> str:
         "slack_stats": report.slack_stats,
         "tight_fraction": report.tight_fraction,
         "elapsed_seconds": report.elapsed_seconds,
-        "seeds_used": list(report.seeds_used),
+        "seeds_used": [report.spec.seed],
     }
     return json_encode(obj) + "\n"
 

@@ -138,7 +138,12 @@ def herm_eigen(h) -> HermEigen:
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"eigendecomposition did not converge: {exc}") from exc
     bound = RESIDUAL_FACTOR * n * EPS * max(max_abs(w), 1e-300)
-    resid = float(np.sqrt(np.sum(np.abs(m @ v - v * w) ** 2, axis=0)).max())
+    # each column divided by its largest entry before squaring, which would
+    # overflow for entries past about 1e154
+    r = np.abs(m @ v - v * w)
+    peak = r.max(axis=0)
+    peak[peak == 0] = 1.0
+    resid = float((peak * np.sqrt(np.sum((r / peak) ** 2, axis=0))).max())
     ortho = max_abs(v.conj().T @ v - np.eye(n))
     if resid > bound or ortho > RESIDUAL_FACTOR * n * EPS:
         raise ConvergenceError(

@@ -180,7 +180,11 @@ def loads_json_matrix(text: str):
             or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in pair)
         ):
             raise MatrixFormatError(f"line 1: data[{k}] is not a [re, im] number pair")
-        values[k] = complex(pair[0], pair[1])
+        try:
+            values[k] = complex(pair[0], pair[1])
+        except OverflowError:
+            # an integer too large for a double
+            raise MatrixFormatError(f"line 1: data[{k}] is outside the double range") from None
     if not np.all(np.isfinite(values.view(np.float64))):
         raise MatrixFormatError("line 1: data holds a non-finite value")
     # row-major

@@ -125,15 +125,12 @@ class RadiusConfig:
     """Knobs for the enclosure engine.
 
     ``target_width`` is an absolute enclosure width; when ``None`` the width
-    resolves to ``target_width_rel * max(1, ||A||)``.  ``oracle_samples > 0``
-    adds a randomized Rayleigh lower-bound pass seeded by ``seed``.
+    resolves to ``target_width_rel * max(1, ||A||)``.
     """
 
     grid_points: int = 64
     target_width: float | None = None
     target_width_rel: float = 1e-9
-    oracle_samples: int = 0
-    seed: int = 0
 
     def __post_init__(self):
         if self.grid_points < 8:
@@ -142,8 +139,6 @@ class RadiusConfig:
             raise ValueError("target_width must be positive")
         if not self.target_width_rel > 0:
             raise ValueError("target_width_rel must be positive")
-        if self.oracle_samples < 0:
-            raise ValueError("oracle_samples must be non-negative")
 
     def resolve_target(self, norm: float) -> float:
         if self.target_width is not None:
@@ -258,12 +253,16 @@ def _ascend(
     return lower, x, theta, iters
 
 
-def _oracle_max(m: np.ndarray, samples: int, seed: int) -> tuple[float, np.ndarray | None]:
-    """Best |<Ax,x>| over Haar-random unit vectors; deterministic in seed."""
+def radius_sample_oracle(a, samples: int, seed: int = 0) -> float:
+    """Randomized lower-bound estimate max_j |<A x_j, x_j>| over ``samples``
+    Haar-random unit vectors, deterministic in ``seed``.  Never exceeds w(A)
+    beyond rounding."""
+    m = as_square(a)
+    if samples < 1:
+        raise ValueError("samples must be at least 1")
     n = m.shape[0]
     rng = np.random.default_rng(int(seed) & _SEED_MASK)
     best = -1.0
-    best_vec = None
     left = int(samples)
     while left > 0:
         k = min(left, _ORACLE_CHUNK)
@@ -272,21 +271,7 @@ def _oracle_max(m: np.ndarray, samples: int, seed: int) -> tuple[float, np.ndarr
         nrm = np.linalg.norm(x, axis=1)
         nrm[nrm == 0] = 1.0
         x /= nrm[:, None]
-        vals = np.abs(np.einsum("ij,ij->i", x.conj(), x @ m.T))
-        j = int(np.argmax(vals))
-        if float(vals[j]) > best:
-            best = float(vals[j])
-            best_vec = x[j].copy()
-    return best, best_vec
-
-
-def radius_sample_oracle(a, samples: int, seed: int = 0) -> float:
-    """Randomized lower-bound estimate max_j |<A x_j, x_j>| over ``samples``
-    Haar-random unit vectors.  Never exceeds w(A) beyond rounding."""
-    m = as_square(a)
-    if samples < 1:
-        raise ValueError("samples must be at least 1")
-    best, _ = _oracle_max(m, samples, seed)
+        best = max(best, float(np.abs(np.einsum("ij,ij->i", x.conj(), x @ m.T)).max()))
     return best
 
 
@@ -372,12 +357,6 @@ def numerical_radius(a, cfg: RadiusConfig | None = None) -> RadiusEstimate:
     lower, x, theta = _warm_start(m, mh, gl, h)
     lower, x, theta, iters = _ascend(m, mh, x, lower, theta, stop)
 
-    if cfg.oracle_samples > 0:
-        val, vec = _oracle_max(m, cfg.oracle_samples, cfg.seed)
-        if vec is not None and val > lower:
-            lower, x, theta, it2 = _ascend(m, mh, vec, val, theta, stop)
-            iters += it2
-
     while True:
         # lefts is never empty: a refinement pass only runs when some
         # certificate exceeds lower + target, and it keeps that interval
@@ -409,8 +388,12 @@ def numerical_radius(a, cfg: RadiusConfig | None = None) -> RadiusEstimate:
         j = int(np.argmax(gm))
         if float(gm[j]) > lower:
             _, v = _top_vector(m, mh, float(mids[j]))
-            lower, x, theta, it3 = _ascend(m, mh, v, lower, theta, stop)
+            cand, v, th, it3 = _ascend(m, mh, v, lower, theta, stop)
             iters += it3
+            # an ascent that gains nothing returns its start v, which lower
+            # and theta do not describe: keep the old witness then
+            if cand > lower:
+                lower, x, theta = cand, v, th
         # each midpoint lies inside its own interval, so interleaving keeps
         # the angles sorted
         lefts = np.column_stack([lefts, mids]).ravel()

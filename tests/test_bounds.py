@@ -33,6 +33,7 @@ from numrad.bounds import (
     parse_bound_id,
     power_sqrt_pair,
 )
+from numrad.ensembles import EnsembleSpec, generate
 from numrad.linalg import NotHermitianError, operator_norm
 from numrad.radius import RadiusConfig
 
@@ -365,6 +366,20 @@ def test_default_tolerance():
     assert default_tolerance() == 1e-9
     assert default_tolerance(0.0) == 1e-9
     assert default_tolerance(float("nan"), 5.0) == 5e-9
+
+
+@pytest.mark.parametrize("scale", [1e100, 1e150])
+def test_eigendecomposition_bounds_at_huge_scale(scale):
+    # T3, FUNC and COR factor matrices with entries near scale^2; their
+    # residual certificate must not overflow there.  T3 is homogeneous of
+    # degree 2, FUNC and COR are not.
+    a = generate(EnsembleSpec("ginibre", 3, 1, seed=0), 0)
+    ctx = MatrixContext(a * scale)
+    for bid in ("T3", "FUNC", "COR"):
+        assert not evaluate(bid, ctx).violated
+    base, t3 = evaluate("T3", MatrixContext(a)), evaluate("T3", ctx)
+    assert t3.lhs == pytest.approx(scale ** 2 * base.lhs, rel=1e-12)
+    assert t3.rhs == pytest.approx(scale ** 2 * base.rhs, rel=1e-12)
 
 
 def test_context_caches_radius(rng):

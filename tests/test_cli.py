@@ -96,11 +96,19 @@ def test_radius_unreachable_width_exits_2(jordan_mtx, capsys):
 
 
 def test_radius_flags(jordan_mtx, capsys):
-    assert main(
-        ["radius", "--input", jordan_mtx, "--grid", "256", "--samples", "500",
-         "--seed", "3"]
-    ) == 0
+    assert main(["radius", "--input", jordan_mtx, "--grid", "256", "--width", "1e-6"]) == 0
     assert "0.5" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["radius", "--samples", "5"], ["radius", "--seed", "5"], ["bounds", "--seed", "5"]],
+)
+def test_removed_oracle_flags_are_usage_errors(jordan_mtx, capsys, argv):
+    assert main([argv[0], "--input", jordan_mtx, *argv[1:]]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: numrad")
+    assert f"unrecognized arguments: {' '.join(argv[1:])}" in err
 
 
 def test_radius_nonsquare_exits_1(tmp_path, capsys):
@@ -215,16 +223,16 @@ def test_study_csv_deterministic(capsys):
 
 def test_study_radius_flags_reach_the_config(capsys):
     argv = ["study", "--family", "ginibre", "--dim", "3", "--count", "2", "--seed", "5",
-            "--grid", "16", "--width", "1e-6", "--samples", "50"]
+            "--grid", "16", "--width", "1e-6"]
     spec = EnsembleSpec("ginibre", 3, 2, 5)
-    cfg = RadiusConfig(grid_points=16, target_width=1e-6, oracle_samples=50, seed=5)
+    cfg = RadiusConfig(grid_points=16, target_width=1e-6)
     want = to_csv(run_study(spec, STUDY_DEFAULT_BOUNDS, cfg))
     # the flags change the output, so matching it shows they were applied
     assert want != to_csv(run_study(spec, STUDY_DEFAULT_BOUNDS))
     assert main(argv + ["--output", "csv"]) == 0
     assert capsys.readouterr().out == want
     assert main(argv) == 0
-    assert json.loads(capsys.readouterr().out)["seeds_used"] == [5, 5]
+    assert json.loads(capsys.readouterr().out)["seeds_used"] == [5]
 
 
 def test_study_misprint_scan_keeps_exit_0(capsys):
@@ -273,8 +281,7 @@ def test_study_violation_exit_3(monkeypatch, capsys):
             spec=report.spec, bound_ids=report.bound_ids, rows=report.rows,
             failures=report.failures, violations=(bad,),
             slack_stats=report.slack_stats, tight_fraction=report.tight_fraction,
-            elapsed_seconds=report.elapsed_seconds, seeds_used=report.seeds_used,
-            radius_config=report.radius_config,
+            elapsed_seconds=report.elapsed_seconds,
         )
 
     monkeypatch.setattr(numrad.cli.ensembles, "run_study", rigged)
@@ -324,6 +331,17 @@ def test_identity_check_error_exits_1(jordan_mtx, capsys, monkeypatch):
     assert "error: routes disagree" in capsys.readouterr().err
 
 
+def test_arithmetic_error_exits_1(jordan_mtx, capsys, monkeypatch):
+    # no known input overflows past the named DomainErrors any more; main
+    # still maps a bare ArithmeticError to exit 1 with an error line
+    def overflowing(*a, **k):
+        raise OverflowError("math range error")
+
+    monkeypatch.setattr(numrad.bounds, "evaluate", overflowing)
+    assert main(["bounds", "--input", jordan_mtx, "--bounds", "T2"]) == 1
+    assert capsys.readouterr().err == "error: math range error\n"
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_overflow_exits_1_without_traceback(tmp_path, capsys):
     # every entry is finite, yet a quantity the bound needs overflows
@@ -343,14 +361,16 @@ def test_overflow_exits_1_without_traceback(tmp_path, capsys):
             err = capsys.readouterr().err
             assert err == f"error: {product} is not finite in double precision (entries overflow)\n"
     # f(w) = w^20 at the upper end of a loose enclosure (an 8-point sweep,
-    # cos(pi/8) below w) is a Python float power past the double range while
-    # |A|^20 is not; main's ArithmeticError clause turns its OverflowError
-    # into an error line
+    # cos(pi/8) below w) passes the double range while |A|^20 does not; COR
+    # names it too, as it evaluates FUNC's chain first, whose left-hand term
+    # is COR's w(A)^r
     path = tmp_path / "power.json"
     save_matrix(np.array([[4e307 ** (1 / 20)]]), str(path))
-    argv = ["--bounds", "FUNC", "--r", "20", "--grid", "8", "--width", "1e300"]
-    assert main(["bounds", "--input", str(path), *argv]) == 1
-    assert capsys.readouterr().err == "error: (34, 'Numerical result out of range')\n"
+    argv = ["--r", "20", "--grid", "8", "--width", "1e300"]
+    for bid in ("FUNC", "COR"):
+        assert main(["bounds", "--input", str(path), "--bounds", bid, *argv]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: f(w(A)) is not finite in double precision (entries overflow)\n"
 
 
 def test_catalog_json(capsys):

@@ -73,6 +73,14 @@ def test_herm_eigen_residual(rng):
         assert res < 1e-12 * max(1.0, np.abs(e.eigenvalues).max())
 
 
+def test_herm_eigen_residual_at_huge_scale(rng):
+    # residual entries near 1e300 would overflow if squared unscaled
+    g = random_complex(rng, 4)
+    h = 1e300 * (0.5 * g + 0.5 * g.conj().T)
+    e = herm_eigen(h)
+    assert_allclose(e.eigenvalues, 1e300 * herm_eigen(h / 1e300).eigenvalues, rtol=1e-12)
+
+
 def test_herm_eigen_gate():
     with pytest.raises(NotHermitianError):
         herm_eigen(J)

@@ -137,6 +137,14 @@ def test_json_reader_validation():
         loads_json_matrix('[1, 2]')
 
 
+def test_json_huge_integer_names_its_entry():
+    # JSON reads these digits as a Python int that no double holds
+    big = "1" + "0" * 400
+    text = f'{{"rows": 1, "cols": 2, "data": [[0, 0], [{big}, 0]]}}'
+    with pytest.raises(MatrixFormatError, match=r"^line 1: data\[1\] is outside the double range$"):
+        loads_json_matrix(text)
+
+
 def test_json_row_major_order():
     m = loads_json_matrix(
         '{"rows": 2, "cols": 2, "data": [[1,0],[2,0],[3,0],[4,0]]}'
