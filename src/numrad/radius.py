@@ -21,11 +21,13 @@ Grid refinement doubles the conceptual grid until the enclosure meets the
 requested width, but only re-evaluates intervals whose local certificate
 max(g_left, g_right, 0)/cos(h/2) still exceeds the best certified lower
 bound; discarded intervals provably cannot contain the maximizer, so the
-enclosure stays sound.  Rayleigh ascent (theta <- -arg<Ax,x>, x <- top
-eigenvector of H(theta)) only ever raises the lower bound.  It starts from
-the vertex of the parabola through the sweep peak and its two neighbours
-when the top eigenvalue there beats the peak; every lambda_max(H(theta)) is
-a lower bound, so the warm start cannot break the certificate.
+enclosure stays sound.  Since H(theta + pi) = -H(theta), each eigensolve of
+an even sweep gives two grid values, g(theta) = lambda_max(H(theta)) and
+g(theta + pi) = -lambda_min(H(theta)), so the sweep solves only its first
+half of the angles.  From the sweep peak a safeguarded Newton ascent on g
+(one eigh per step, g' and g'' from eigenvalue perturbation, an alternating
+Rayleigh step at crossings) raises the lower bound; it accepts only values
+|<Ax, x>| above it, so lower never falls below the sweep peak.
 
 When the numerical range is a disk centred at 0 (the Jordan block, weighted
 shifts, every 2x2 nilpotent matrix) the envelope is constant, nothing is
@@ -92,8 +94,13 @@ _SWEEP_BYTES = 64 * 2 ** 20
 # Sample batch for the randomized Rayleigh oracle.
 _ORACLE_CHUNK = 20000
 
-# Step cap of each Rayleigh ascent.
+# Eigensolve cap of each ascent, its largest Newton step (radians), how
+# often a step that gains nothing is halved, and the relative gap
+# lambda_1 - lambda_2 below which a crossing takes the Rayleigh step.
 _ASCENT_STEPS = 200
+_MAX_STEP = 0.2
+_HALVINGS = 3
+_GAP = 1e-8
 
 # Step cap of the cyclic reduction behind the LMI certificate.  It converges
 # quadratically for r > w(A); disk-shaped inputs need a handful of steps, and
@@ -155,6 +162,7 @@ class RadiusEstimate:
     the maximum was located, ``grid_points`` the resolution of the grid the
     upper certificate refers to; when the LMI certificate sets ``upper``, it
     is the initial sweep's size, the grid was never refined.
+    ``refinement_iters`` counts the eigensolves of all ascents.
     """
 
     lower: float
@@ -181,9 +189,13 @@ def herm_envelope(a, theta: float) -> np.ndarray:
     return _envelope(m, m.conj().T, np.exp(1j * float(theta)))
 
 
-def _envelope_gvals(m: np.ndarray, mh: np.ndarray, thetas: np.ndarray) -> np.ndarray:
-    """lambda_max(H(theta)) for a batch of angles."""
-    out = np.empty(thetas.size)
+def _envelope_gvals(
+    m: np.ndarray, mh: np.ndarray, thetas: np.ndarray, antipodal: bool = False
+) -> np.ndarray:
+    """lambda_max(H(theta)) for a batch of angles.  With ``antipodal`` the
+    values at theta + pi follow, from the same eigensolves:
+    H(theta + pi) = -H(theta), so g(theta + pi) = -lambda_min(H(theta))."""
+    out = np.empty((1 + antipodal, thetas.size))
     chunk = _sweep_chunk(m.shape[0])
     for s in range(0, thetas.size, chunk):
         ph = np.exp(1j * thetas[s : s + chunk])
@@ -191,8 +203,11 @@ def _envelope_gvals(m: np.ndarray, mh: np.ndarray, thetas: np.ndarray) -> np.nda
         # straight to eigvalsh measured more page faults and a few percent
         # more time on disk-shaped inputs
         h = _envelope(m, mh, ph[:, None, None])
-        out[s : s + chunk] = np.linalg.eigvalsh(h)[:, -1]
-    return out
+        ev = np.linalg.eigvalsh(h)
+        out[0, s : s + chunk] = ev[:, -1]
+        if antipodal:
+            out[1, s : s + chunk] = -ev[:, 0]
+    return out.ravel()
 
 
 def _sweep_chunk(n: int) -> int:
@@ -200,57 +215,66 @@ def _sweep_chunk(n: int) -> int:
     return max(1, min(_SWEEP_CHUNK, _SWEEP_BYTES // (16 * n * n)))
 
 
-def _top_vector(m: np.ndarray, mh: np.ndarray, theta: float) -> tuple[float, np.ndarray]:
-    w, v = np.linalg.eigh(_envelope(m, mh, np.exp(1j * theta)))
-    return float(w[-1]), v[:, -1]
-
-
-def _warm_start(
-    m: np.ndarray, mh: np.ndarray, gl: np.ndarray, h: float
-) -> tuple[float, np.ndarray, float]:
-    """Starting point for the ascent from the uniform sweep ``gl`` at angles
-    k h, peaking (first) at index k.
-
-    Fits a parabola through gl[k] and its two periodic neighbours and takes
-    the top eigenpair at its vertex when that eigenvalue beats gl[k]; else the
-    top eigenpair at angle k h.  Either value is some lambda_max(H(.)), so it
-    is a valid lower bound.  Returns (lower, x, angle).
-    """
-    k = int(np.argmax(gl))
-    theta = k * h
-    left, peak, right = gl[k - 1], gl[k], gl[(k + 1) % gl.size]
-    curv = left - 2.0 * peak + right
-    if curv < 0.0:
-        # k is the argmax, so the vertex lies within h/2 of theta
-        vertex = theta + 0.5 * h * (left - right) / curv
-        val, x = _top_vector(m, mh, vertex)
-        if val > peak:
-            return val, x, vertex % TWO_PI
-    _, x = _top_vector(m, mh, theta)
-    return float(peak), x, theta
+def _envelope_eigh(m: np.ndarray, mh: np.ndarray, theta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (ascending) and eigenvectors of H(theta); the ascent's
+    only eigensolve."""
+    return np.linalg.eigh(_envelope(m, mh, np.exp(1j * theta)))
 
 
 def _ascend(
-    m: np.ndarray, mh: np.ndarray, x: np.ndarray, lower: float, theta: float, stop_delta: float
+    m: np.ndarray, mh: np.ndarray, theta: float, lower: float, stop: float
 ) -> tuple[float, np.ndarray, float, int]:
-    """Alternating Rayleigh ascent of at most ``_ASCENT_STEPS`` steps;
-    monotone in the lower bound."""
-    iters = 0
-    for _ in range(_ASCENT_STEPS):
-        z = complex(np.vdot(x, m @ x))
-        th = 0.0 if z == 0 else float(-np.angle(z))
-        _, v = _top_vector(m, mh, th)
-        z2 = complex(np.vdot(v, m @ v))
-        cand = abs(z2)
-        iters += 1
-        delta = cand - lower
-        if cand > lower:
-            lower = cand
-            x = v
-            theta = float(-np.angle(z2)) % TWO_PI if z2 != 0 else th % TWO_PI
-        if abs(delta) <= stop_delta:
+    """Safeguarded Newton ascent on g(theta) = lambda_max(H(theta)) from the
+    angle ``theta``; returns (lower, x, theta, eigensolves).
+
+    Each step is one eigh of H(theta) = V diag(w) V*, top pair (g, x).  With
+    H' = dH/dtheta = (i e^{i theta} A - i e^{-i theta} A*) / 2 and H'' = -H,
+    eigenvalue perturbation gives g' = x* H' x and
+    g'' = -g + 2 sum_{j>1} |v_j* H' x|^2 / (g - w_j), formed in units of
+    ||H(theta)||_2 so that no square overflows.  The next angle is
+    theta - g'/g'' clipped to _MAX_STEP when g'' < 0, else the alternating
+    Rayleigh angle -arg<Ax, x> (also when g - w_2 is tiny, at a crossing).
+    |<Ax, x>| is a lower bound for w(A), and is accepted only when it beats
+    ``lower``, with theta = -arg<Ax, x>, so Re(e^{i theta}<Ax, x>) = lower.
+    A step that does not raise lower is halved, at most _HALVINGS times.  The
+    ascent stops when the local model's predicted peak g + g' step / 2 is at
+    most lower + ``stop``, or after _ASCENT_STEPS eigensolves.  When nothing
+    beats ``lower``, x is the top eigenvector at the start angle.
+    """
+    x = None
+    th = theta
+    for steps in range(1, _ASCENT_STEPS + 1):
+        w, v = _envelope_eigh(m, mh, th)
+        y = v[:, -1]
+        z = complex(np.vdot(y, m @ y))
+        gained = abs(z) > lower
+        if gained:
+            lower, x, theta = abs(z), y, float(-np.angle(z))
+        elif x is None:
+            x = y
+        scale = max(abs(w[0]), abs(w[-1]))
+        if scale == 0.0:
             break
-    return lower, x, theta, iters
+        c = v.conj().T @ (_envelope(m, mh, 1j * np.exp(1j * th)) @ y) / scale
+        slope = c[-1].real
+        gaps = (w[-1] - w[:-1]) / scale
+        curv = 0.0
+        if gaps.size == 0 or gaps[-1] > _GAP:
+            curv = 2.0 * float(np.sum(np.abs(c[:-1]) ** 2 / gaps)) - w[-1] / scale
+        if curv < 0.0:
+            nxt = min(_MAX_STEP, max(-_MAX_STEP, -slope / curv))
+        else:
+            nxt = (-np.angle(z) - th + math.pi) % TWO_PI - math.pi
+        if w[-1] + 0.5 * scale * slope * nxt <= lower + stop:
+            break
+        if gained or steps == 1:
+            base, step, halvings = th, nxt, 0
+        elif halvings < _HALVINGS:
+            step, halvings = 0.5 * step, halvings + 1
+        else:
+            break
+        th = base + step
+    return lower, x, theta % TWO_PI, steps
 
 
 def radius_sample_oracle(a, samples: int, seed: int = 0) -> float:
@@ -331,10 +355,12 @@ def _lmi_upper(m: np.ndarray, r: float, target: float) -> float:
 
 
 def numerical_radius(a, cfg: RadiusConfig | None = None) -> RadiusEstimate:
-    """Certified enclosure of w(A): sweep, Rayleigh refinement from a
-    parabolic warm start, one try of the LMI certificate when the envelope is
-    flat, then grid doubling (with interval pruning) until upper - lower <=
-    target width.
+    """Certified enclosure of w(A): sweep (half the angles on an even grid,
+    each eigensolve giving g at theta and theta + pi), Newton ascent from the
+    sweep peak, one try of the LMI certificate when the envelope is flat,
+    then grid doubling (with interval pruning) until upper - lower <= target
+    width; a refinement midpoint more than 0.01 target above lower starts a
+    new ascent.
 
     Raises :class:`EnclosureNotReached` carrying the best estimate if the
     grid cap of 2**20 points is insufficient.
@@ -351,11 +377,14 @@ def numerical_radius(a, cfg: RadiusConfig | None = None) -> RadiusEstimate:
     nn = cfg.grid_points
     h = TWO_PI / nn
     lefts = np.arange(nn) * h
-    gl = _envelope_gvals(m, mh, lefts)
+    if nn % 2:
+        gl = _envelope_gvals(m, mh, lefts)
+    else:
+        gl = _envelope_gvals(m, mh, lefts[: nn // 2], antipodal=True)
     gr = np.roll(gl, -1)
 
-    lower, x, theta = _warm_start(m, mh, gl, h)
-    lower, x, theta, iters = _ascend(m, mh, x, lower, theta, stop)
+    k = int(np.argmax(gl))
+    lower, x, theta, iters = _ascend(m, mh, float(lefts[k]), float(gl[k]), stop)
 
     while True:
         # lefts is never empty: a refinement pass only runs when some
@@ -386,12 +415,13 @@ def numerical_radius(a, cfg: RadiusConfig | None = None) -> RadiusEstimate:
         mids = lefts + h / 2.0
         gm = _envelope_gvals(m, mh, mids)
         j = int(np.argmax(gm))
-        if float(gm[j]) > lower:
-            _, v = _top_vector(m, mh, float(mids[j]))
-            cand, v, th, it3 = _ascend(m, mh, v, lower, theta, stop)
-            iters += it3
-            # an ascent that gains nothing returns its start v, which lower
-            # and theta do not describe: keep the old witness then
+        # a midpoint within stop of lower would only repeat the ascent that
+        # found lower
+        if float(gm[j]) > lower + stop:
+            cand, v, th, it = _ascend(m, mh, float(mids[j]), lower, stop)
+            iters += it
+            # an ascent that gains nothing returns its start vector, which
+            # lower and theta do not describe: keep the old witness then
             if cand > lower:
                 lower, x, theta = cand, v, th
         # each midpoint lies inside its own interval, so interleaving keeps

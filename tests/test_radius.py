@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,10 +14,11 @@ from numrad.radius import (
     GRID_CAP,
     TWO_PI,
     RadiusConfig,
+    _ascend,
+    _envelope_eigh,
     _envelope_gvals,
     _lmi_upper,
     _sweep_chunk,
-    _top_vector,
     herm_envelope,
     numerical_radius,
     radius_sample_oracle,
@@ -77,7 +79,8 @@ def test_envelope_routes_agree(rng):
         for theta in (0.0, 0.7, math.pi / 2, 2.0, 5.5):
             h = herm_envelope(a, theta)
             dense = np.linalg.eigvalsh(h)[-1]
-            top, v = _top_vector(a, ah, theta)
+            w, v = _envelope_eigh(a, ah, theta)
+            top, v = w[-1], v[:, -1]
             assert _envelope_gvals(a, ah, np.array([theta]))[0] == pytest.approx(dense, abs=tol)
             assert top == pytest.approx(dense, abs=tol)
             assert np.real(np.vdot(v, h @ v)) == pytest.approx(top, abs=tol)
@@ -231,32 +234,105 @@ def test_secant_certificate_never_looser_than_lipschitz(rng):
             assert np.all(g / np.cos(h / 2.0) <= g + nrm * h / 2.0)
 
 
-@pytest.mark.parametrize("nilpotent,max_eigh", [(False, 20), (True, 40)])
+def _counted(monkeypatch, a, cfg=None):
+    """numerical_radius(a, cfg) with the angle count of each envelope sweep
+    batch and the angle of each ascent eigh recorded."""
+    batches, eighs = [], []
+    gvals, eigh = numrad.radius._envelope_gvals, numrad.radius._envelope_eigh
+
+    def counting_gvals(m, mh, thetas, *args, **kwargs):
+        batches.append(thetas.size)
+        return gvals(m, mh, thetas, *args, **kwargs)
+
+    def counting_eigh(m, mh, theta):
+        eighs.append(theta)
+        return eigh(m, mh, theta)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(numrad.radius, "_envelope_gvals", counting_gvals)
+        patch.setattr(numrad.radius, "_envelope_eigh", counting_eigh)
+        est = numerical_radius(a, cfg)
+    return est, batches, eighs
+
+
+@pytest.mark.parametrize("nilpotent,max_eigh", [(False, 4), (True, 6)])
 def test_eigensolve_budget(rng, monkeypatch, nilpotent, max_eigh):
-    # the default enclosure of a 32x32 draw: one small sweep, a few refinement
-    # levels over the surviving intervals, a short ascent.  Nilpotent draws
-    # ascend slowly: this one takes 22 eigh calls, 46 from the plain sweep peak.
+    # the default enclosure of a 32x32 draw: one sweep of half the grid's
+    # angles (each eigensolve also gives the value half a turn on), a few
+    # refinement levels over the surviving intervals, and a Newton ascent of
+    # 2-3 eigh calls from the sweep peak, nilpotent draws included
     a = random_complex(rng, 32)
     if nilpotent:
         a = np.triu(a, 1)
-    batches, eighs = [], []
-    gvals, top = numrad.radius._envelope_gvals, numrad.radius._top_vector
-
-    def counting_gvals(m, mh, thetas):
-        batches.append(thetas.size)
-        return gvals(m, mh, thetas)
-
-    def counting_top(m, mh, theta):
-        eighs.append(theta)
-        return top(m, mh, theta)
-
-    monkeypatch.setattr(numrad.radius, "_envelope_gvals", counting_gvals)
-    monkeypatch.setattr(numrad.radius, "_top_vector", counting_top)
-    est = numerical_radius(a)
-    assert batches[0] == RadiusConfig().grid_points
+    est, batches, eighs = _counted(monkeypatch, a)
+    assert batches[0] == RadiusConfig().grid_points // 2
     assert sum(batches) <= 200
     assert len(eighs) <= max_eigh
     assert est.width <= 1e-9 * max(1.0, operator_norm(a))
+
+
+def test_antipodal_sweep_matches_per_angle_values():
+    # g(theta + pi) = -lambda_min(H(theta)): the half sweep with its
+    # antipodal values equals a sweep over every angle
+    nn = RadiusConfig().grid_points
+    thetas = np.arange(nn) * (TWO_PI / nn)
+    for family in FAMILIES:
+        for n in (2, 5, 13):
+            a = generate(EnsembleSpec(family, n, 1, seed=4), 0)
+            ah = a.conj().T
+            half = _envelope_gvals(a, ah, thetas[: nn // 2], antipodal=True)
+            full = _envelope_gvals(a, ah, thetas)
+            tol = 1e-13 * max(1.0, operator_norm(a))
+            assert np.max(np.abs(half - full)) <= tol, (family, n)
+
+
+def test_odd_grid_sweeps_every_angle(rng, monkeypatch):
+    a = random_complex(rng, 6)
+    default = numerical_radius(a)
+    for nn in (9, 33):
+        cfg = RadiusConfig(grid_points=nn)
+        est, batches, _ = _counted(monkeypatch, a, cfg)
+        assert batches[0] == nn
+        assert max(est.lower, default.lower) <= min(est.upper, default.upper)
+        assert est.width <= 1e-9 * max(1.0, operator_norm(a))
+
+
+def test_newton_ascent_never_below_its_start(rng, monkeypatch):
+    # zero gap at the top (I_3, diag(1, 1, -1)), two separate peaks
+    # (diag(1, -0.99)) and a normal matrix, whose isolated top eigenvalue the
+    # first eigh already attains
+    d = rng.standard_normal(5) + 1j * rng.standard_normal(5)
+    q, _ = np.linalg.qr(random_complex(rng, 5))
+    normal = (q * d) @ q.conj().T
+    mats = [np.eye(3), np.diag([1.0, 1.0, -1.0]), np.diag([1.0, -0.99]), normal]
+    for a in mats:
+        a = a.astype(complex)
+        ah = a.conj().T
+        stop = 0.01 * RadiusConfig().resolve_target(operator_norm(a))
+        for theta in np.arange(16) * (TWO_PI / 16):
+            start = float(_envelope_gvals(a, ah, np.array([theta]))[0])
+            lower, x, th, steps = _ascend(a, ah, float(theta), start, stop)
+            assert lower >= start
+            assert 1 <= steps <= numrad.radius._ASCENT_STEPS
+            got = (np.exp(1j * th) * np.vdot(x, a @ x)).real
+            assert got == pytest.approx(lower, abs=1e-13 * max(1.0, lower))
+    est, _, eighs = _counted(monkeypatch, normal)
+    assert len(eighs) <= 3
+    assert est.lower == pytest.approx(float(np.abs(d).max()), rel=1e-12)
+
+
+def test_extreme_scales_are_homogeneous():
+    # s G for a 5x5 ginibre draw G at s = 1e150 and 1e-150: no floating point
+    # exception anywhere, and both enclosures hold s w(G)
+    g = generate(EnsembleSpec("ginibre", 5, 1, seed=0), 0)
+    base = numerical_radius(g)
+    for s in (1e150, 1e-150):
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            est = numerical_radius(s * g)
+        tol = max(est.width, s * base.width)
+        assert abs(est.lower - s * base.lower) <= tol
+        assert abs(est.upper - s * base.upper) <= tol
 
 
 def test_sweep_chunk_byte_budget():
@@ -387,15 +463,33 @@ def _hexagon_like(rng):
     return (q * vals) @ q.conj().T + 1e-3 * np.triu(random_complex(rng, 6), 1)
 
 
+def _disk_ranges(rng):
+    weights = rng.uniform(0.5, 2.0, 4) * np.exp(1j * rng.uniform(0.0, TWO_PI, 4))
+    return 1.5j * shift_matrix(8), np.diag(weights, 1)
+
+
 def test_grid_fallback_witness_matches_theta_star(rng, monkeypatch):
     # with the LMI off, a disk-shaped range refines its grid, and at nearly
     # every level some midpoint beats lower by rounding alone; the ascent
     # started there gains nothing, and its start vector must not replace the
     # witness that lower and theta_star describe
-    weights = rng.uniform(0.5, 2.0, 4) * np.exp(1j * rng.uniform(0.0, TWO_PI, 4))
-    for a in (1.5j * shift_matrix(8), np.diag(weights, 1)):
+    for a in _disk_ranges(rng):
         est = _grid_only(monkeypatch, a)
         assert est.grid_points > RadiusConfig().grid_points
+        x = est.witness
+        got = (np.exp(1j * est.theta_star) * np.vdot(x, a @ x)).real
+        assert got == pytest.approx(est.lower, abs=1e-12)
+
+
+def test_no_reascent_on_rounding_level_gains(rng, monkeypatch):
+    # on a constant envelope the midpoints beat lower by rounding alone; only
+    # a gain above the ascent's stop threshold starts a new ascent
+    for a in _disk_ranges(rng):
+        with monkeypatch.context() as patch:
+            patch.setattr(numrad.radius, "_lmi_upper", lambda m, r, target: math.inf)
+            est, _, eighs = _counted(patch, a)
+        assert est.grid_points > RadiusConfig().grid_points
+        assert len(eighs) <= 2
         x = est.witness
         got = (np.exp(1j * est.theta_star) * np.vdot(x, a @ x)).real
         assert got == pytest.approx(est.lower, abs=1e-12)
