@@ -25,8 +25,8 @@ enclosure stays sound.  Since H(theta + pi) = -H(theta), each eigensolve of
 an even sweep gives two grid values, g(theta) = lambda_max(H(theta)) and
 g(theta + pi) = -lambda_min(H(theta)), so the sweep solves only its first
 half of the angles.  From the sweep peak a safeguarded Newton ascent on g
-(one eigh per step, g' and g'' from eigenvalue perturbation, an alternating
-Rayleigh step at crossings) raises the lower bound; it accepts only values
+(one eigh per step, g' and g'' from eigenvalue perturbation; it stops at
+crossings and where g'' >= 0) raises the lower bound; it accepts only values
 |<Ax, x>| above it, so lower never falls below the sweep peak.
 
 When the numerical range is a disk centred at 0 (the Jordan block, weighted
@@ -96,7 +96,7 @@ _ORACLE_CHUNK = 20000
 
 # Eigensolve cap of each ascent, its largest Newton step (radians), how
 # often a step that gains nothing is halved, and the relative gap
-# lambda_1 - lambda_2 below which a crossing takes the Rayleigh step.
+# lambda_1 - lambda_2 below which a crossing stops it.
 _ASCENT_STEPS = 200
 _MAX_STEP = 0.2
 _HALVINGS = 3
@@ -232,14 +232,15 @@ def _ascend(
     eigenvalue perturbation gives g' = x* H' x and
     g'' = -g + 2 sum_{j>1} |v_j* H' x|^2 / (g - w_j), formed in units of
     ||H(theta)||_2 so that no square overflows.  The next angle is
-    theta - g'/g'' clipped to _MAX_STEP when g'' < 0, else the alternating
-    Rayleigh angle -arg<Ax, x> (also when g - w_2 is tiny, at a crossing).
-    |<Ax, x>| is a lower bound for w(A), and is accepted only when it beats
-    ``lower``, with theta = -arg<Ax, x>, so Re(e^{i theta}<Ax, x>) = lower.
-    A step that does not raise lower is halved, at most _HALVINGS times.  The
-    ascent stops when the local model's predicted peak g + g' step / 2 is at
-    most lower + ``stop``, or after _ASCENT_STEPS eigensolves.  When nothing
-    beats ``lower``, x is the top eigenvector at the start angle.
+    theta - g'/g'' clipped to _MAX_STEP.  |<Ax, x>| is a lower bound for
+    w(A), and is accepted only when it beats ``lower``, with
+    theta = -arg<Ax, x>, so Re(e^{i theta}<Ax, x>) = lower.  A step that does
+    not raise lower is halved, at most _HALVINGS times.  The ascent stops when
+    the local model's predicted peak g + g' step / 2 is at most
+    lower + ``stop``, after _ASCENT_STEPS eigensolves, at a crossing
+    (g - w_2 tiny) or where g'' >= 0; grid refinement covers any gain left
+    there.  When nothing beats ``lower``, x is the top eigenvector
+    at the start angle.
     """
     x = None
     th = theta
@@ -255,16 +256,15 @@ def _ascend(
         scale = max(abs(w[0]), abs(w[-1]))
         if scale == 0.0:
             break
+        gaps = (w[-1] - w[:-1]) / scale
+        if gaps.size and gaps[-1] <= _GAP:
+            break
         c = v.conj().T @ (_envelope(m, mh, 1j * np.exp(1j * th)) @ y) / scale
         slope = c[-1].real
-        gaps = (w[-1] - w[:-1]) / scale
-        curv = 0.0
-        if gaps.size == 0 or gaps[-1] > _GAP:
-            curv = 2.0 * float(np.sum(np.abs(c[:-1]) ** 2 / gaps)) - w[-1] / scale
-        if curv < 0.0:
-            nxt = min(_MAX_STEP, max(-_MAX_STEP, -slope / curv))
-        else:
-            nxt = (-np.angle(z) - th + math.pi) % TWO_PI - math.pi
+        curv = 2.0 * float(np.sum(np.abs(c[:-1]) ** 2 / gaps)) - w[-1] / scale
+        if curv >= 0.0:
+            break
+        nxt = min(_MAX_STEP, max(-_MAX_STEP, -slope / curv))
         if w[-1] + 0.5 * scale * slope * nxt <= lower + stop:
             break
         if gained or steps == 1:

@@ -316,6 +316,11 @@ def test_newton_ascent_never_below_its_start(rng, monkeypatch):
             assert 1 <= steps <= numrad.radius._ASCENT_STEPS
             got = (np.exp(1j * th) * np.vdot(x, a @ x)).real
             assert got == pytest.approx(lower, abs=1e-13 * max(1.0, lower))
+    # at theta = 0 the top eigenvalue of both is double: the ascent stops
+    # after its first eigh
+    for a in mats[:2]:
+        a = a.astype(complex)
+        assert _ascend(a, a.conj().T, 0.0, 1.0, 1e-11)[3] == 1
     est, _, eighs = _counted(monkeypatch, normal)
     assert len(eighs) <= 3
     assert est.lower == pytest.approx(float(np.abs(d).max()), rel=1e-12)
