@@ -444,9 +444,10 @@ def eval_functional_chain(a, fp: FunctionPair) -> ChainReport:
     pair the chain collapses to KIT."""
     c = _ctx(a)
     gof = lambda x: fp.g(fp.f(x))
-    x_mid = 0.5 * np.add(*c.f_abs(gof))
+    # halving before adding keeps a representable mean finite
+    x_mid = np.add(*(0.5 * m for m in c.f_abs(gof)))
     mid = operator_norm(apply_herm_fn(x_mid, fp.g_inverse))
-    right = 0.5 * operator_norm(np.add(*c.f_abs(fp.f)))
+    right = operator_norm(np.add(*(0.5 * m for m in c.f_abs(fp.f))))
 
     def terms(w):
         with np.errstate(over="ignore"):
@@ -468,9 +469,11 @@ def eval_chain_cor(a, r: float = 2.0) -> ChainReport:
     c = _ctx(a)
     r = float(r)
     pw = lambda x: x ** r + x ** (r / 2.0)
-    s_mat = np.add(*c.f_abs(pw))
-    eye = np.eye(s_mat.shape[0])
-    root = apply_herm_fn(2.0 * s_mat + eye, np.sqrt)
+    with np.errstate(over="ignore", invalid="ignore"):
+        s_mat = np.add(*c.f_abs(pw))
+        eye = np.eye(s_mat.shape[0])
+        twice = _finite_product(2.0 * s_mat + eye, "2S + I, S = |A|^r+|A*|^r+|A|^{r/2}+|A*|^{r/2}")
+    root = apply_herm_fn(twice, np.sqrt)
     mid = 0.5 * operator_norm(s_mat + eye - root)
 
     func = eval_functional_chain(c, fp)

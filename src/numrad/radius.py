@@ -5,29 +5,49 @@ max_theta lambda_max(H(theta)) for the Hermitian envelope
 H(theta) = (e^{i theta} A + e^{-i theta} A*) / 2.
 
 Every envelope eigenvalue g(theta) is a valid lower bound.  The upper
-certificate comes from the support-plane picture: each numerical-range point
-z satisfies Re(e^{i theta_k} z) <= g(theta_k) for every grid angle, and some
-grid angle lies within h/2 of -arg(z), so
+certificate uses the support lines Re(e^{i theta_k} z) <= g(theta_k) that every
+numerical-range point z obeys at the grid angles (spacing h = 2 pi / N <=
+pi / 4).  With s = -arg z - theta_k in [0, h], the lines at both ends of its
+interval give |z| <= min(a / cos s, b / cos(h - s)) for any a >= g(theta_k),
+b >= g(theta_{k+1}).  The first term grows with s and the second falls, so
+this kite's far point is where the lines meet, a vertex of Johnson's outer
+polygon (SIAM J. Numer. Anal. 15, 1978), at the distance
 
-    w(A) <= max_k g(theta_k) / cos(h/2),            h = 2 pi / N.
+    V(a, b) = hypot((a - b) / sin h, sqrt(a) sqrt(b) / cos(h/2))
 
-That bound is second order in h, and the reported upper endpoint is it plus
-a kernel-accuracy slack of RESIDUAL_FACTOR * n * eps * ||A||.  It is never
-looser than the first-order Lipschitz bound max_k g + ||A|| h / 2 (g is
-||A||-Lipschitz): for 0 <= g <= ||A||, g (sec(h/2) - 1) <= ||A|| h / 2 at
-every allowed h, so no fallback to it is needed.
+while that lies in the sector (a cos h <= b <= a / cos h), and
+min(a, b) / cos h otherwise.  Clipping a to b / cos h and b to a / cos h moves
+the meeting point onto the sector's edge, so V of the clipped pair is the
+kite's maximum throughout, and a - b stays small.  That maximum is monotone
+in (a, b), so a = max(g, 0) + delta (b alike), with delta = RESIDUAL_FACTOR *
+n * eps * ||A||, covers the eigensolver's error.  The kite lies inside the
+secant bound max(a, b) / cos(h/2) (some grid angle is within h/2 of -arg z)
+and is exact when both lines touch W(A) at one corner, as at the extreme
+eigenvalue of a normal matrix once both angles lie in its normal cone.  Nor
+is a Lipschitz fallback max_k g + ||A|| h / 2 needed (g is ||A||-Lipschitz):
+for 0 <= g <= ||A||, g (sec(h/2) - 1) <= ||A|| h / 2 at every allowed h.
+
+Rounding, with u = eps / 2 (+, -, *, /, sqrt exact to u; sin, cos, hypot to
+2u): a and b lose u, the clip 4u; the clipped values are within a factor 2, so
+a - b is exact; the hypot arguments carry 4u and 7u, hypot 2u.  The maximum is
+positively homogeneous and at most V, so this costs a relative factor under
+1 + 15u.  Rounded angles and phases make an interval's true width differ from
+h by under 10 pi u at the sweep, plus 2 pi u per refinement level L, and the
+maximum grows with h at a relative rate at most tan h, which costs at most
+(L + 5) 2 pi u tan(h / 2^L) <= 10 pi u < 32u.  Both hypot arguments carry the
+factor 1 + 32 eps = 1 + 64u, which covers the two.
 
 Grid refinement doubles the conceptual grid until the enclosure meets the
-requested width, but only re-evaluates intervals whose local certificate
-max(g_left, g_right, 0)/cos(h/2) still exceeds the best certified lower
-bound; discarded intervals provably cannot contain the maximizer, so the
-enclosure stays sound.  Since H(theta + pi) = -H(theta), each eigensolve of
-an even sweep gives two grid values, g(theta) = lambda_max(H(theta)) and
-g(theta + pi) = -lambda_min(H(theta)), so the sweep solves only its first
-half of the angles.  From the sweep peak a safeguarded Newton ascent on g
-(one eigh per step, g' and g'' from eigenvalue perturbation; it stops at
-crossings and where g'' >= 0) raises the lower bound; it accepts only values
-|<Ax, x>| above it, so lower never falls below the sweep peak.
+requested width, but only re-evaluates intervals whose kite bound still
+exceeds the best certified lower bound; discarded intervals provably cannot
+contain the maximizer, so the enclosure stays sound.  Since H(theta + pi) =
+-H(theta), each eigensolve of an even sweep gives two grid values, g(theta) =
+lambda_max(H(theta)) and g(theta + pi) = -lambda_min(H(theta)), so the sweep
+solves only its first half of the angles.  From the sweep peak a safeguarded
+Newton ascent on g (one eigh per step, g' and g'' from eigenvalue
+perturbation; it stops at crossings and where g'' >= 0) raises the lower
+bound; it accepts only values |<Ax, x>| above it, so lower never falls below
+the sweep peak.
 
 When the numerical range is a disk centred at 0 (the Jordan block, weighted
 shifts, every 2x2 nilpotent matrix) the envelope is constant, nothing is
@@ -257,7 +277,8 @@ def _ascend(
         if scale == 0.0:
             break
         gaps = (w[-1] - w[:-1]) / scale
-        if gaps.size and gaps[-1] <= _GAP:
+        # at a crossing, and at once for a 1x1 input (lower = |a| = w(A))
+        if not gaps.size or gaps[-1] <= _GAP:
             break
         c = v.conj().T @ (_envelope(m, mh, 1j * np.exp(1j * th)) @ y) / scale
         slope = c[-1].real
@@ -299,10 +320,16 @@ def radius_sample_oracle(a, samples: int, seed: int = 0) -> float:
     return best
 
 
-def _grid_upper(peak, h: float, slack: float):
-    """Certified upper bound over an angle interval of width h whose envelope
-    maximum at the grid points is ``peak`` (scalar or array)."""
-    return np.maximum(peak, 0.0) / np.cos(h / 2.0) + slack
+def _grid_upper(gl, gr, h: float, slack: float):
+    """Certified bound on |z| over the z in W(A) with -arg z in angle intervals
+    of width h and envelope end values ``gl``, ``gr`` (the module docstring)."""
+    a = np.maximum(gl, 0.0) + slack
+    b = np.maximum(gr, 0.0) + slack
+    k, r = 1.0 / math.cos(h), 1.0 + 32.0 * EPS
+    a, b = np.minimum(a, k * b), np.minimum(b, k * a)
+    return np.hypot(
+        (a - b) * (r / math.sin(h)), np.sqrt(a) * np.sqrt(b) * (r / math.cos(h / 2.0))
+    )
 
 
 def _lmi_upper(m: np.ndarray, r: float, target: float) -> float:
@@ -389,7 +416,7 @@ def numerical_radius(a, cfg: RadiusConfig | None = None) -> RadiusEstimate:
     while True:
         # lefts is never empty: a refinement pass only runs when some
         # certificate exceeds lower + target, and it keeps that interval
-        certs = _grid_upper(np.maximum(gl, gr), h, slack)
+        certs = _grid_upper(gl, gr, h, slack)
         upper = max(lower, float(certs.max()))
         if upper - lower <= target:
             break

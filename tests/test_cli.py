@@ -360,17 +360,36 @@ def test_overflow_exits_1_without_traceback(tmp_path, capsys):
             assert main(["bounds", "--input", str(path), "--bounds", bid]) == 1
             err = capsys.readouterr().err
             assert err == f"error: {product} is not finite in double precision (entries overflow)\n"
-    # f(w) = w^20 at the upper end of a loose enclosure (an 8-point sweep,
-    # cos(pi/8) below w) passes the double range while |A|^20 does not; COR
-    # names it too, as it evaluates FUNC's chain first, whose left-hand term
-    # is COR's w(A)^r
+    # f(w) = w^20 at the upper end of a loose enclosure passes the double
+    # range while |A|^20 does not: the eigenvalues c and c e^{i pi/4} sit on
+    # adjacent angles of an 8-point sweep, whose support lines there meet at
+    # c / cos(pi/8), the upper end.  COR names it too, as it evaluates FUNC's
+    # chain first, whose left-hand term is COR's w(A)^r
     path = tmp_path / "power.json"
-    save_matrix(np.array([[4e307 ** (1 / 20)]]), str(path))
+    c = 4e307 ** (1 / 20)
+    save_matrix(np.diag([c, c * np.exp(1j * np.pi / 4)]), str(path))
     argv = ["--r", "20", "--grid", "8", "--width", "1e300"]
     for bid in ("FUNC", "COR"):
         assert main(["bounds", "--input", str(path), "--bounds", bid, *argv]) == 1
         err = capsys.readouterr().err
         assert err == "error: f(w(A)) is not finite in double precision (entries overflow)\n"
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_func_and_cor_sums_do_not_blame_the_matrix(tmp_path, capsys):
+    # every entry of [[(1e308)^(1/20)]] is about 2.6e15, and |A|^20 is finite,
+    # but |A|^20 + |A*|^20 is not: FUNC halves before adding, COR names its
+    # sum, and neither warns nor reports the input as non-finite
+    path = tmp_path / "edge.json"
+    save_matrix(np.array([[1e308 ** (1 / 20)]]), str(path))
+    for bid in ("FUNC", "COR"):
+        main(["bounds", "--input", str(path), "--bounds", bid, "--r", "20"])
+        err = capsys.readouterr().err
+        assert "matrix entries must be finite" not in err
+    assert err == (
+        "error: 2S + I, S = |A|^r+|A*|^r+|A|^{r/2}+|A*|^{r/2} is not finite "
+        "in double precision (entries overflow)\n"
+    )
 
 
 def test_catalog_json(capsys):

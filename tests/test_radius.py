@@ -8,7 +8,7 @@ from hypothesis import given, settings
 import numrad
 import numrad.radius
 from numrad.ensembles import FAMILIES, EnsembleSpec, generate
-from numrad.linalg import operator_norm
+from numrad.linalg import EPS, RESIDUAL_FACTOR, operator_norm
 from numrad.radius import (
     EnclosureNotReached,
     GRID_CAP,
@@ -17,6 +17,7 @@ from numrad.radius import (
     _ascend,
     _envelope_eigh,
     _envelope_gvals,
+    _grid_upper,
     _lmi_upper,
     _sweep_chunk,
     herm_envelope,
@@ -234,6 +235,73 @@ def test_secant_certificate_never_looser_than_lipschitz(rng):
             assert np.all(g / np.cos(h / 2.0) <= g + nrm * h / 2.0)
 
 
+def _kite_pairs(rng, h):
+    """Envelope end values (a, b) >= 0: independent draws, pairs within the
+    factor cos h of each other (the lines meet inside the sector), zeros and
+    extreme scales."""
+    pairs = [(0.0, 0.0), (0.0, 1.0), (1.0, 1.0), (1.0, math.cos(h))]
+    pairs += [(1e300, 1e300), (1e-300, 2e-300)]
+    for _ in range(20):
+        a = rng.uniform(0.0, 1.0)
+        pairs.append((a, rng.uniform(0.0, 1.0)))
+        pairs.append((a, a * rng.uniform(math.cos(h), 1.0 / math.cos(h))))
+    return pairs
+
+
+def test_kite_certificate_holds_the_kite_and_stays_inside_the_secant():
+    # the kite {s = -arg z - theta_k in [0, h], |z| <= min(a / cos s,
+    # b / cos(h - s))}: its largest |z| over 10^4 sampled s, formed in
+    # extended precision, never exceeds the certificate (slack 0, so the
+    # rounding factor alone covers rounding), and the certificate never
+    # exceeds the secant bound of the same raised values
+    rng = np.random.default_rng(12)
+    for e in range(3, 21):
+        h = TWO_PI / 2 ** e
+        s = np.linspace(0.0, h, 10 ** 4, dtype=np.longdouble)
+        for a, b in _kite_pairs(rng, h):
+            a_s, b_s = np.longdouble(a) / np.cos(s), np.longdouble(b) / np.cos(h - s)
+            kite = np.max(np.minimum(a_s, b_s))
+            assert np.longdouble(_grid_upper(a, b, h, 0.0)) >= kite, (e, a, b)
+            slack = RESIDUAL_FACTOR * EPS * max(a, b)
+            secant = (max(a, b) + slack) / math.cos(h / 2.0)
+            assert _grid_upper(a, b, h, slack) <= secant * (1 + 64 * EPS), (e, a, b)
+    # arrays, as the grid loop passes them, give the scalar values
+    gl, gr = rng.uniform(-0.5, 1.0, 64), rng.uniform(-0.5, 1.0, 64)
+    h = TWO_PI / 64
+    want = [_grid_upper(x, y, h, 1e-14) for x, y in zip(gl, gr)]
+    assert np.array_equal(_grid_upper(gl, gr, h, 1e-14), want)
+
+
+@pytest.mark.parametrize("family", ["gue", "normal"])
+def test_normal_inputs_stop_at_the_sweep(monkeypatch, family):
+    # the farthest point of W(A) is an eigenvalue, a corner that both support
+    # lines of its interval touch: the kite is exact, so one sweep batch
+    # meets the width with no refinement batch, and the enclosure holds the
+    # spectral radius
+    for n in (5, 32):
+        spec = EnsembleSpec(family, n, 3, seed=5)
+        for index in range(3):
+            a = generate(spec, index)
+            est, batches, _ = _counted(monkeypatch, a)
+            assert est.grid_points == RadiusConfig().grid_points == 64
+            assert batches == [32]
+            rho = float(np.abs(np.linalg.eigvals(a)).max())
+            tol = 1e-12 * operator_norm(a)
+            assert est.lower - tol <= rho <= est.upper + tol, (n, index)
+            assert est.width <= 1e-9 * max(1.0, operator_norm(a))
+
+
+def test_one_by_one_ascent_stops_at_its_first_eigh():
+    # W([[a]]) = {a}: the first eigh already gives lower = |a| = w(A)
+    for family in ("ginibre", "normal", "rank1"):
+        for seed in range(3):
+            a = generate(EnsembleSpec(family, 1, 1, seed=seed), 0)
+            est = numerical_radius(a)
+            assert est.refinement_iters == 1, (family, seed)
+            assert est.lower == pytest.approx(abs(a[0, 0]), rel=1e-15)
+            assert est.grid_points == 64
+
+
 def _counted(monkeypatch, a, cfg=None):
     """numerical_radius(a, cfg) with the angle count of each envelope sweep
     batch and the angle of each ascent eigh recorded."""
@@ -266,7 +334,7 @@ def test_eigensolve_budget(rng, monkeypatch, nilpotent, max_eigh):
         a = np.triu(a, 1)
     est, batches, eighs = _counted(monkeypatch, a)
     assert batches[0] == RadiusConfig().grid_points // 2
-    assert sum(batches) <= 200
+    assert sum(batches) <= 80
     assert len(eighs) <= max_eigh
     assert est.width <= 1e-9 * max(1.0, operator_norm(a))
 
@@ -327,11 +395,12 @@ def test_newton_ascent_never_below_its_start(rng, monkeypatch):
 
 
 def test_extreme_scales_are_homogeneous():
-    # s G for a 5x5 ginibre draw G at s = 1e150 and 1e-150: no floating point
-    # exception anywhere, and both enclosures hold s w(G)
+    # s G for a 5x5 ginibre draw G at s = 1e300, 1e150 and 1e-150: no floating
+    # point exception anywhere (the kite certificate's hypot and
+    # sqrt(a) sqrt(b) included), and every enclosure holds s w(G)
     g = generate(EnsembleSpec("ginibre", 5, 1, seed=0), 0)
     base = numerical_radius(g)
-    for s in (1e150, 1e-150):
+    for s in (1e300, 1e150, 1e-150):
         with warnings.catch_warnings(), np.errstate(all="raise"):
             warnings.simplefilter("error")
             est = numerical_radius(s * g)
