@@ -166,7 +166,7 @@ def power_sqrt_pair(r: float) -> FunctionPair:
     return FunctionPair(
         f=lambda x, r=float(r): x ** r,
         g=lambda x: x + np.sqrt(x),
-        g_inverse=lambda x: (2.0 * x + 1.0 - np.sqrt(4.0 * x + 1.0)) / 2.0,
+        g_inverse=lambda x: x + 0.5 - np.sqrt(x + 0.25),
         name=f"x^{r:g}|x+sqrt(x)",
     )
 

@@ -119,8 +119,6 @@ def build_parser() -> argparse.ArgumentParser:
 def _emit(text: str, out_path: str | None) -> None:
     if out_path is None:
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
     else:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)

@@ -140,13 +140,10 @@ def loads_matrix_market(text: str):
     return values.reshape((cols, rows)).T.copy()
 
 
-def dumps_matrix_market(a, comment: str | None = None) -> str:
+def dumps_matrix_market(a) -> str:
     m = as_matrix(a)
     rows, cols = m.shape
-    out = ["%%MatrixMarket matrix array complex general"]
-    if comment:
-        out.extend("% " + line for line in comment.splitlines())
-    out.append(f"{rows} {cols}")
+    out = ["%%MatrixMarket matrix array complex general", f"{rows} {cols}"]
     flat = m.T.reshape(-1)  # column-major
     out.extend(f"{g17(z.real)} {g17(z.imag)}" for z in flat)
     return "\n".join(out) + "\n"

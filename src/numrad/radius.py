@@ -45,9 +45,9 @@ contain the maximizer, so the enclosure stays sound.  Since H(theta + pi) =
 lambda_max(H(theta)) and g(theta + pi) = -lambda_min(H(theta)), so the sweep
 solves only its first half of the angles.  From the sweep peak a safeguarded
 Newton ascent on g (one eigh per step, g' and g'' from eigenvalue
-perturbation; it stops at crossings and where g'' >= 0) raises the lower
-bound; it accepts only values |<Ax, x>| above it, so lower never falls below
-the sweep peak.
+perturbation; it stops at crossings, where g'' >= 0 and at a step that gains
+nothing) raises the lower bound; it accepts only values |<Ax, x>| above it,
+so lower never falls below the sweep peak.
 
 When the numerical range is a disk centred at 0 (the Jordan block, weighted
 shifts, every 2x2 nilpotent matrix) the envelope is constant, nothing is
@@ -114,12 +114,10 @@ _SWEEP_BYTES = 64 * 2 ** 20
 # Sample batch for the randomized Rayleigh oracle.
 _ORACLE_CHUNK = 20000
 
-# Eigensolve cap of each ascent, its largest Newton step (radians), how
-# often a step that gains nothing is halved, and the relative gap
-# lambda_1 - lambda_2 below which a crossing stops it.
+# Eigensolve cap of each ascent, its largest Newton step (radians), and the
+# relative gap lambda_1 - lambda_2 below which a crossing stops it.
 _ASCENT_STEPS = 200
 _MAX_STEP = 0.2
-_HALVINGS = 3
 _GAP = 1e-8
 
 # Step cap of the cyclic reduction behind the LMI certificate.  It converges
@@ -242,35 +240,42 @@ def _envelope_eigh(m: np.ndarray, mh: np.ndarray, theta: float) -> tuple[np.ndar
 
 
 def _ascend(
-    m: np.ndarray, mh: np.ndarray, theta: float, lower: float, stop: float
+    m: np.ndarray,
+    mh: np.ndarray,
+    start: float,
+    lower: float,
+    x: np.ndarray | None,
+    theta: float,
+    stop: float,
 ) -> tuple[float, np.ndarray, float, int]:
     """Safeguarded Newton ascent on g(theta) = lambda_max(H(theta)) from the
-    angle ``theta``; returns (lower, x, theta, eigensolves).
+    angle ``start``: improves the best estimate ``lower``, which the witness
+    ``x`` attains at ``theta``, and returns (lower, x, theta, eigensolves).
 
-    Each step is one eigh of H(theta) = V diag(w) V*, top pair (g, x).  With
+    Each step is one eigh of H(theta) = V diag(w) V*, top pair (g, y).  With
     H' = dH/dtheta = (i e^{i theta} A - i e^{-i theta} A*) / 2 and H'' = -H,
-    eigenvalue perturbation gives g' = x* H' x and
-    g'' = -g + 2 sum_{j>1} |v_j* H' x|^2 / (g - w_j), formed in units of
+    eigenvalue perturbation gives g' = y* H' y and
+    g'' = -g + 2 sum_{j>1} |v_j* H' y|^2 / (g - w_j), formed in units of
     ||H(theta)||_2 so that no square overflows.  The next angle is
-    theta - g'/g'' clipped to _MAX_STEP.  |<Ax, x>| is a lower bound for
+    theta - g'/g'' clipped to _MAX_STEP.  |<Ay, y>| is a lower bound for
     w(A), and is accepted only when it beats ``lower``, with
-    theta = -arg<Ax, x>, so Re(e^{i theta}<Ax, x>) = lower.  A step that does
-    not raise lower is halved, at most _HALVINGS times.  The ascent stops when
-    the local model's predicted peak g + g' step / 2 is at most
-    lower + ``stop``, after _ASCENT_STEPS eigensolves, at a crossing
-    (g - w_2 tiny) or where g'' >= 0; grid refinement covers any gain left
-    there.  When nothing beats ``lower``, x is the top eigenvector
-    at the start angle.
+    theta = -arg<Ay, y>, so Re(e^{i theta}<Ay, y>) = lower.  The ascent stops
+    at its first step after the first that does not raise lower, when the
+    local model's predicted peak g + g' step / 2 is at most lower + ``stop``,
+    after _ASCENT_STEPS eigensolves, at a crossing (g - w_2 tiny) or where
+    g'' >= 0; grid refinement covers any gain left there.  An ``x`` of None
+    (``lower`` the sweep value at ``start == theta``) takes the first eigh's
+    top eigenvector, which attains that value to rounding.
     """
-    x = None
-    th = theta
+    th = start
     for steps in range(1, _ASCENT_STEPS + 1):
         w, v = _envelope_eigh(m, mh, th)
         y = v[:, -1]
         z = complex(np.vdot(y, m @ y))
-        gained = abs(z) > lower
-        if gained:
+        if abs(z) > lower:
             lower, x, theta = abs(z), y, float(-np.angle(z))
+        elif steps > 1:
+            break
         elif x is None:
             x = y
         scale = max(abs(w[0]), abs(w[-1]))
@@ -288,13 +293,7 @@ def _ascend(
         nxt = min(_MAX_STEP, max(-_MAX_STEP, -slope / curv))
         if w[-1] + 0.5 * scale * slope * nxt <= lower + stop:
             break
-        if gained or steps == 1:
-            base, step, halvings = th, nxt, 0
-        elif halvings < _HALVINGS:
-            step, halvings = 0.5 * step, halvings + 1
-        else:
-            break
-        th = base + step
+        th += nxt
     return lower, x, theta % TWO_PI, steps
 
 
@@ -411,7 +410,8 @@ def numerical_radius(a, cfg: RadiusConfig | None = None) -> RadiusEstimate:
     gr = np.roll(gl, -1)
 
     k = int(np.argmax(gl))
-    lower, x, theta, iters = _ascend(m, mh, float(lefts[k]), float(gl[k]), stop)
+    theta = float(lefts[k])
+    lower, x, theta, iters = _ascend(m, mh, theta, float(gl[k]), None, theta, stop)
 
     while True:
         # lefts is never empty: a refinement pass only runs when some
@@ -445,12 +445,8 @@ def numerical_radius(a, cfg: RadiusConfig | None = None) -> RadiusEstimate:
         # a midpoint within stop of lower would only repeat the ascent that
         # found lower
         if float(gm[j]) > lower + stop:
-            cand, v, th, it = _ascend(m, mh, float(mids[j]), lower, stop)
+            lower, x, theta, it = _ascend(m, mh, float(mids[j]), lower, x, theta, stop)
             iters += it
-            # an ascent that gains nothing returns its start vector, which
-            # lower and theta do not describe: keep the old witness then
-            if cand > lower:
-                lower, x, theta = cand, v, th
         # each midpoint lies inside its own interval, so interleaving keeps
         # the angles sorted
         lefts = np.column_stack([lefts, mids]).ravel()

@@ -95,6 +95,19 @@ def test_radius_unreachable_width_exits_2(jordan_mtx, capsys):
     assert "warning" in captured.err
 
 
+def test_radius_csv(jordan_mtx, capsys):
+    # one header and one row, every float in 17 significant digits, so the
+    # row gives back the library's estimate exactly
+    assert main(["radius", "--input", jordan_mtx, "--output", "csv"]) == 0
+    head, row = capsys.readouterr().out.splitlines()
+    est = numerical_radius(J)
+    fields = ["lower", "upper", "width", "theta_star", "grid_points", "refinement_iters"]
+    assert head.split(",") == fields
+    values = row.split(",")
+    assert [float(v) for v in values] == [getattr(est, f) for f in fields]
+    assert values[4:] == [str(est.grid_points), str(est.refinement_iters)]
+
+
 def test_radius_flags(jordan_mtx, capsys):
     assert main(["radius", "--input", jordan_mtx, "--grid", "256", "--width", "1e-6"]) == 0
     assert "0.5" in capsys.readouterr().out
@@ -175,6 +188,39 @@ def test_bounds_json_output(jordan_mtx, capsys):
     assert chain["kind"] == "chain"
     assert len(chain["terms"]) == 3
     assert len(chain["links"]) == 2
+
+
+def test_bounds_csv_output(jordan_mtx, tmp_path, capsys):
+    # one row per id in the order given, lhs/rhs/slack in 17 significant
+    # digits, and the status the human table prints: every chain is tight on
+    # the Jordan block, and B0 is not on [[1, 2], [0, i]]
+    path = tmp_path / "upper.json"
+    save_matrix(np.array([[1, 2], [0, 1j]]), str(path))
+    cells = []
+    for src, ids in ((jordan_mtx, "T3,T3-PRINTED"), (str(path), "B0")):
+        assert main(["bounds", "--input", src, "--bounds", ids, "--output", "csv"]) == 0
+        head, *rows = capsys.readouterr().out.splitlines()
+        assert head == "bound_id,lhs,rhs,slack,status"
+        cells += [row.split(",") for row in rows]
+    assert [c[0] for c in cells] == ["T3", "T3-PRINTED", "B0"]
+    assert [c[4] for c in cells] == ["TIGHT", "VIOLATED", "OK"]
+    for c in cells:
+        assert [format(float(v), ".17g") for v in c[1:4]] == c[1:4]
+    # B0's lhs ||A||/2, with ||A|| = 1 + sqrt 2
+    assert float(cells[2][1]) == pytest.approx((1 + 2 ** 0.5) / 2, abs=1e-15)
+
+
+def test_bounds_unreachable_width_exits_2(tmp_path, capsys):
+    # EnclosureNotReached reaches main from the catalog: bounds prints no
+    # table, only the error line
+    path = tmp_path / "upper.json"
+    save_matrix(np.array([[1, 2], [0, 1j]]), str(path))
+    code = main(["bounds", "--input", str(path), "--bounds", "B0", "--width", "1e-300"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: enclosure width ")
+    assert captured.err.endswith("at grid cap 1048576\n")
 
 
 def test_bounds_unknown_id_exits_1(jordan_mtx, capsys):
@@ -390,6 +436,20 @@ def test_func_and_cor_sums_do_not_blame_the_matrix(tmp_path, capsys):
         "error: 2S + I, S = |A|^r+|A*|^r+|A|^{r/2}+|A*|^{r/2} is not finite "
         "in double precision (entries overflow)\n"
     )
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_func_power_20_at_the_double_range_is_tight(tmp_path, capsys):
+    # g^{-1}(x) = x + 1/2 - sqrt(x + 1/4) stays finite up to the double
+    # range: on [[(1e308)^(1/20)]] both FUNC terms are |a|^20 = 1e308
+    path = tmp_path / "edge.json"
+    save_matrix(np.array([[1e308 ** (1 / 20)]]), str(path))
+    assert main(["bounds", "--input", str(path), "--bounds", "FUNC", "--r", "20"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    head, row = captured.out.splitlines()
+    assert row.split()[0] == "FUNC"
+    assert row.split()[-1] == "TIGHT"
 
 
 def test_catalog_json(capsys):

@@ -379,7 +379,7 @@ def test_newton_ascent_never_below_its_start(rng, monkeypatch):
         stop = 0.01 * RadiusConfig().resolve_target(operator_norm(a))
         for theta in np.arange(16) * (TWO_PI / 16):
             start = float(_envelope_gvals(a, ah, np.array([theta]))[0])
-            lower, x, th, steps = _ascend(a, ah, float(theta), start, stop)
+            lower, x, th, steps = _ascend(a, ah, float(theta), start, None, float(theta), stop)
             assert lower >= start
             assert 1 <= steps <= numrad.radius._ASCENT_STEPS
             got = (np.exp(1j * th) * np.vdot(x, a @ x)).real
@@ -388,10 +388,36 @@ def test_newton_ascent_never_below_its_start(rng, monkeypatch):
     # after its first eigh
     for a in mats[:2]:
         a = a.astype(complex)
-        assert _ascend(a, a.conj().T, 0.0, 1.0, 1e-11)[3] == 1
+        assert _ascend(a, a.conj().T, 0.0, 1.0, None, 0.0, 1e-11)[3] == 1
     est, _, eighs = _counted(monkeypatch, normal)
     assert len(eighs) <= 3
     assert est.lower == pytest.approx(float(np.abs(d).max()), rel=1e-12)
+
+
+def test_ascent_improves_the_estimate_it_is_given(rng):
+    # _ascend takes the best (lower, witness, angle) and returns the best: a
+    # lower bound no step can reach (2 ||A||) comes back with the same
+    # witness object and angle after one eigh, and a second ascent from
+    # elsewhere keeps or raises the first one's estimate
+    mats = (J, shift_matrix(5), random_complex(rng, 6), np.triu(random_complex(rng, 8), 1))
+    for a in mats:
+        ah = a.conj().T
+        n = a.shape[0]
+        stop = 0.01 * RadiusConfig().resolve_target(operator_norm(a))
+        x = random_complex(rng, n)[:, 0]
+        x /= np.linalg.norm(x)
+        top = 2.0 * operator_norm(a)
+        for start in np.arange(8) * (TWO_PI / 8):
+            lower, y, th, steps = _ascend(a, ah, float(start), top, x, 1.25, stop)
+            assert (lower, th, steps) == (top, 1.25, 1) and y is x
+        g0 = float(_envelope_gvals(a, ah, np.zeros(1))[0])
+        first = _ascend(a, ah, 0.0, g0, None, 0.0, stop)
+        for start in np.arange(8) * (TWO_PI / 8) + 0.3:
+            lower, y, th, steps = _ascend(a, ah, float(start), *first[:3], stop)
+            assert lower >= first[0]
+            assert 1 <= steps <= numrad.radius._ASCENT_STEPS
+            got = (np.exp(1j * th) * np.vdot(y, a @ y)).real
+            assert got == pytest.approx(lower, abs=1e-13 * max(1.0, lower))
 
 
 def test_extreme_scales_are_homogeneous():
@@ -525,6 +551,50 @@ def test_lmi_upper_is_sound_across_families(monkeypatch):
                 for r in (w * (1 - 1e-2), w * (1 - 1e-6), w, w * (1 + 1e-10)):
                     got = _lmi_upper(a, r, target)
                     assert got >= est.lower, (family, n, index, r, got - est.lower)
+
+
+def test_lmi_failure_exits_stay_sound(monkeypatch):
+    # a failed or non-finite cyclic-reduction step ends it with the last
+    # finite X, which only loosens the bound; a non-finite M~ (at r near the
+    # double range 2r overflows) or a failed eigensolve gives inf.  Every exit
+    # stays >= w(A), and with the LMI failing, numerical_radius encloses by
+    # the grid alone
+    eigvalsh = np.linalg.eigvalsh
+    calls = []
+
+    def failing_solve(y, rhs):
+        calls.append("raise")
+        raise np.linalg.LinAlgError("rigged")
+
+    def nan_solve(y, rhs):
+        calls.append("nan")
+        return np.full(rhs.shape, np.nan, dtype=complex)
+
+    def failing_on_m(h):
+        # the sweeps stay batched (3-d); only M~ is a single matrix
+        if h.ndim == 2:
+            raise np.linalg.LinAlgError("rigged")
+        return eigvalsh(h)
+
+    for a, w in ((J, 0.5), (shift_matrix(5), math.cos(math.pi / 6))):
+        target = RadiusConfig().resolve_target(operator_norm(a))
+        r = w + target / 2.0
+        with np.errstate(over="ignore"):
+            assert _lmi_upper(a, 1e308, target) == math.inf
+        for solve in (failing_solve, nan_solve):
+            calls.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(np.linalg, "solve", solve)
+                got = _lmi_upper(a, r, target)
+            assert len(calls) == 1
+            assert w <= got < math.inf
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, "eigvalsh", failing_on_m)
+            assert _lmi_upper(a, r, target) == math.inf
+            est = numerical_radius(a)
+        assert est.grid_points == 65536
+        assert est.lower - 1e-15 <= w <= est.upper
+        assert est.width <= target
 
 
 def _hexagon_like(rng):
