@@ -47,6 +47,14 @@ def eye3_json(tmp_path):
     return str(path)
 
 
+@pytest.fixture
+def upper_json(tmp_path):
+    # w = (1 + sqrt 2)/2 + 1/2 and ||A|| = 1 + sqrt 2; B0 is not tight on it
+    path = tmp_path / "upper.json"
+    save_matrix(np.array([[1, 2], [0, 1j]]), str(path))
+    return str(path)
+
+
 def test_radius_human(jordan_mtx, capsys):
     assert main(["radius", "--input", jordan_mtx]) == 0
     out = capsys.readouterr().out
@@ -190,14 +198,12 @@ def test_bounds_json_output(jordan_mtx, capsys):
     assert len(chain["links"]) == 2
 
 
-def test_bounds_csv_output(jordan_mtx, tmp_path, capsys):
+def test_bounds_csv_output(jordan_mtx, upper_json, capsys):
     # one row per id in the order given, lhs/rhs/slack in 17 significant
     # digits, and the status the human table prints: every chain is tight on
     # the Jordan block, and B0 is not on [[1, 2], [0, i]]
-    path = tmp_path / "upper.json"
-    save_matrix(np.array([[1, 2], [0, 1j]]), str(path))
     cells = []
-    for src, ids in ((jordan_mtx, "T3,T3-PRINTED"), (str(path), "B0")):
+    for src, ids in ((jordan_mtx, "T3,T3-PRINTED"), (upper_json, "B0")):
         assert main(["bounds", "--input", src, "--bounds", ids, "--output", "csv"]) == 0
         head, *rows = capsys.readouterr().out.splitlines()
         assert head == "bound_id,lhs,rhs,slack,status"
@@ -206,16 +212,14 @@ def test_bounds_csv_output(jordan_mtx, tmp_path, capsys):
     assert [c[4] for c in cells] == ["TIGHT", "VIOLATED", "OK"]
     for c in cells:
         assert [format(float(v), ".17g") for v in c[1:4]] == c[1:4]
-    # B0's lhs ||A||/2, with ||A|| = 1 + sqrt 2
+    # B0's lhs ||A||/2
     assert float(cells[2][1]) == pytest.approx((1 + 2 ** 0.5) / 2, abs=1e-15)
 
 
-def test_bounds_unreachable_width_exits_2(tmp_path, capsys):
+def test_bounds_unreachable_width_exits_2(upper_json, capsys):
     # EnclosureNotReached reaches main from the catalog: bounds prints no
     # table, only the error line
-    path = tmp_path / "upper.json"
-    save_matrix(np.array([[1, 2], [0, 1j]]), str(path))
-    code = main(["bounds", "--input", str(path), "--bounds", "B0", "--width", "1e-300"])
+    code = main(["bounds", "--input", upper_json, "--bounds", "B0", "--width", "1e-300"])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""

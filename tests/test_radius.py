@@ -379,7 +379,8 @@ def test_newton_ascent_never_below_its_start(rng, monkeypatch):
         stop = 0.01 * RadiusConfig().resolve_target(operator_norm(a))
         for theta in np.arange(16) * (TWO_PI / 16):
             start = float(_envelope_gvals(a, ah, np.array([theta]))[0])
-            lower, x, th, steps = _ascend(a, ah, float(theta), start, None, float(theta), stop)
+            theta = float(theta)
+            lower, x, th, steps = _ascend(a, ah, theta, start, None, theta, stop)
             assert lower >= start
             assert 1 <= steps <= numrad.radius._ASCENT_STEPS
             got = (np.exp(1j * th) * np.vdot(x, a @ x)).real
