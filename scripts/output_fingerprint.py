@@ -19,7 +19,8 @@ B0,T3-PRINTED,COR:3,FUNC --r 2.5`` in all three formats, on the Jordan block
 and the ginibre draw; ``study`` in human and json on ginibre and nilpotent
 draws (``elapsed_seconds`` masked);
 ``catalog`` in all three formats; the exit status and standard error of a
-missing input file, an unknown bound id and an unknown family.  The
+missing input file, an unknown bound id, an unknown family, ``bounds --r
+inf`` and ``study --r nan``.  The
 non-default ``RadiusConfig`` path as well: ``evaluate`` of every arity-1 id
 plus ``COR:3`` and ``FUNC:3`` on a ``MatrixContext`` built with
 ``CONTEXT_CFG``, and ``tightness_compare`` and every field of the
@@ -139,6 +140,13 @@ def write_outputs(out: pathlib.Path) -> None:
         "missing-input": ["radius", "--input", "no-such-matrix.json"],
         "unknown-id": ["bounds", "--input", str(out / "jordan.json"), "--bounds", "NOPE"],
         "unknown-family": ["study", "--family", "nope", "--dim", "2", "--count", "1"],
+        "exponent-inf": [
+            "bounds", "--input", str(out / "jordan.json"), "--bounds", "FUNC,COR", "--r", "inf",
+        ],
+        "exponent-nan": [
+            "study", "--family", "ginibre", "--dim", "3", "--count", "2",
+            "--bounds", "FUNC", "--r", "nan", "--output", "csv",
+        ],
     }
     for name, argv in errors.items():
         (out / f"error-{name}.status").write_text(_cli(argv))

@@ -25,7 +25,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property, lru_cache, partial
 from typing import Callable
 
 import numpy as np
@@ -159,12 +159,26 @@ def identity_pair() -> FunctionPair:
     return FunctionPair(ident, ident, ident, name="identity")
 
 
+def _exponent(r: float) -> float:
+    """``r`` as a float; raises ValueError unless it is finite and >= 2."""
+    r = float(r)
+    if not (math.isfinite(r) and r >= 2):
+        raise ValueError(f"exponent r must be finite and at least 2, got {r:g}")
+    return r
+
+
 def power_sqrt_pair(r: float) -> FunctionPair:
-    """f(x) = x^r with g(x) = x + sqrt(x), the pair behind the COR bound."""
-    if r < 2:
-        raise ValueError("exponent r must be at least 2")
+    """f(x) = x^r with g(x) = x + sqrt(x), the pair behind the COR bound.
+
+    The pair is immutable, so each exponent is built and checked once per
+    process; an invalid exponent raises on every call."""
+    return _power_sqrt_pair(_exponent(r))
+
+
+@lru_cache(maxsize=64)
+def _power_sqrt_pair(r: float) -> FunctionPair:
     return FunctionPair(
-        f=lambda x, r=float(r): x ** r,
+        f=lambda x: x ** r,
         g=lambda x: x + np.sqrt(x),
         g_inverse=lambda x: x + 0.5 - np.sqrt(x + 0.25),
         name=f"x^{r:g}|x+sqrt(x)",
@@ -206,14 +220,24 @@ def _finite_product(m: np.ndarray, name: str) -> np.ndarray:
 
 class MatrixContext:
     """Caches the decompositions shared by the bound evaluations of one
-    matrix: adjoint, SVD, polar absolute values, Cartesian split, and the
-    radius enclosures of A and of the derived fourth-order products."""
+    matrix: adjoint, SVD, polar absolute values, Cartesian split, the
+    radius enclosures of A and of the derived fourth-order products, and
+    the functional chain of each exponent."""
 
     def __init__(self, a, cfg: RadiusConfig | None = None):
         if isinstance(a, MatrixContext):
             raise TypeError("a MatrixContext already has its own cfg; pass its matrix ctx.a")
         self.a = as_square(a)
         self.cfg = cfg or RadiusConfig()
+        self._functional: dict[float, ChainReport] = {}
+
+    def functional_chain(self, r: float) -> ChainReport:
+        """FUNC's chain for the pair (x^r, x + sqrt(x)), evaluated once per
+        exponent; a failed evaluation is not kept."""
+        r = _exponent(r)
+        if r not in self._functional:
+            self._functional[r] = eval_functional_chain(self, power_sqrt_pair(r))
+        return self._functional[r]
 
     @cached_property
     def ah(self) -> np.ndarray:
@@ -464,10 +488,10 @@ def eval_chain_cor(a, r: float = 2.0) -> ChainReport:
     The middle term is assembled literally (matrix powers, explicit square
     root of 2S + I, matrix subtraction) and asserted equal, within tolerance,
     to the middle of the functional chain for the pair (x^r, x + sqrt(x));
-    disagreement raises :class:`IdentityCheckError`."""
-    fp = power_sqrt_pair(r)
+    disagreement raises :class:`IdentityCheckError`.  The functional chain
+    comes from the context's memo, which FUNC at the same exponent shares."""
+    r = _exponent(r)
     c = _ctx(a)
-    r = float(r)
     pw = lambda x: x ** r + x ** (r / 2.0)
     with np.errstate(over="ignore", invalid="ignore"):
         s_mat = np.add(*c.f_abs(pw))
@@ -476,7 +500,7 @@ def eval_chain_cor(a, r: float = 2.0) -> ChainReport:
     root = apply_herm_fn(twice, np.sqrt)
     mid = 0.5 * operator_norm(s_mat + eye - root)
 
-    func = eval_functional_chain(c, fp)
+    func = c.functional_chain(r)
     tol_mid = default_tolerance(mid, func.terms[1])
     if abs(mid - func.terms[1]) > tol_mid:
         raise IdentityCheckError(
@@ -539,7 +563,7 @@ _CATALOG: tuple[CatalogEntry, ...] = (
         "FUNC",
         "f(w(A)) <= || g^{-1}((g(f(|A|)) + g(f(|A*|)))/2) || <= || f(|A|)+f(|A*|) ||/2",
         1,
-        lambda c, r: eval_functional_chain(c, power_sqrt_pair(r)),
+        MatrixContext.functional_chain,
         takes_r=True,
     ),
     CatalogEntry(
@@ -574,8 +598,7 @@ def parse_bound_id(token: str) -> tuple[str, float | None]:
             raise ValueError(f"bad exponent suffix in {token!r}") from None
         if not _BY_ID[base].takes_r:
             raise ValueError(f"bound {base} takes no exponent suffix")
-        if r < 2:
-            raise ValueError("exponent r must be at least 2")
+        _exponent(r)
     return base, r
 
 

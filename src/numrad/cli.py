@@ -5,8 +5,11 @@ Subcommands: ``radius`` (certified enclosure of one matrix), ``bounds``
 run), ``catalog`` (list the registry).
 
 Exit codes: 0 success, 1 input error (bad flags, malformed files, unknown
-ids, invalid family) or arithmetic overflow, 2 enclosure target not reached
-(best estimate still printed), 3 a non-diagnostic bound was violated.
+ids, an exponent that is not finite and at least 2, invalid family), a failed
+decomposition certificate or identity cross-check, or arithmetic overflow,
+2 enclosure target not reached (only ``radius`` still prints its best
+estimate; a study records it as a failed draw), 3 a non-diagnostic bound was
+violated.
 T3-PRINTED is diagnostic and never drives the exit code.
 
 Human output rounds to 6 significant digits; json and csv output carries 17.

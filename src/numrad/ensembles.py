@@ -172,9 +172,12 @@ def run_study(
     if not tokens:
         raise ValueError("bound_ids must name at least one catalog entry")
     for token in tokens:
-        entry = bounds.catalog_entry(token)
+        base, suffix_r = bounds.parse_bound_id(token)
+        entry = bounds.catalog_entry(base)
         if entry.arity != 1:
             raise ValueError(f"bound {entry.bound_id} needs two matrices; studies draw one")
+        if entry.takes_r and suffix_r is None:
+            bounds._exponent(r)  # before any draw, so no draw failure can hide it
 
     start = time.perf_counter()
     rows: list[StudyRow] = []

@@ -281,7 +281,8 @@ def _ascend(
         scale = max(abs(w[0]), abs(w[-1]))
         if scale == 0.0:
             break
-        gaps = (w[-1] - w[:-1]) / scale
+        # halved first, so eigenvalues near +-1e308 do not overflow the gap
+        gaps = (0.5 * w[-1] - 0.5 * w[:-1]) / (0.5 * scale)
         # at a crossing, and at once for a 1x1 input (lower = |a| = w(A))
         if not gaps.size or gaps[-1] <= _GAP:
             break
@@ -368,8 +369,10 @@ def _lmi_upper(m: np.ndarray, r: float, target: float) -> float:
             break
         x, y, b = x_next, y - b @ ybh - bhyb, b @ yb
 
-    z = _hermitize(r * eye - scale * x)
-    mm = np.block([[r * eye + z, m], [m.conj().T, r * eye - z]])
+    # an overflow here (r near the double range) is caught as a non-finite M
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = _hermitize(r * eye - scale * x)
+        mm = np.block([[r * eye + z, m], [m.conj().T, r * eye - z]])
     if not np.all(np.isfinite(mm)):
         return math.inf
     try:

@@ -34,7 +34,7 @@ from numrad.bounds import (
     power_sqrt_pair,
 )
 from numrad.ensembles import EnsembleSpec, generate
-from numrad.linalg import NotHermitianError, operator_norm
+from numrad.linalg import DomainError, NotHermitianError, operator_norm
 from numrad.radius import RadiusConfig
 
 from conftest import random_complex
@@ -391,6 +391,78 @@ def test_context_caches_radius(rng):
     b0 = eval_chain_b0(ctx)
     sq = eval_chain_sq(ctx)
     assert b0.terms[1] == pytest.approx(math.sqrt(sq.terms[1]), rel=1e-12)
+
+
+def test_power_sqrt_pair_is_built_once_per_exponent():
+    # one checked pair per exponent, whatever numeric type names it; an
+    # invalid exponent is refused on every call, never cached
+    assert power_sqrt_pair(2) is power_sqrt_pair(2.0) is power_sqrt_pair(np.float64(2))
+    assert power_sqrt_pair(3) is not power_sqrt_pair(2)
+    for r in (1.5, math.nan, math.inf, -math.inf):
+        for _ in range(3):
+            with pytest.raises(ValueError, match="finite and at least 2"):
+                power_sqrt_pair(r)
+    for token in ("COR:nan", "FUNC:inf", "COR:1e400"):
+        with pytest.raises(ValueError, match="finite and at least 2"):
+            parse_bound_id(token)
+
+
+def _count_herm_fn(monkeypatch) -> list:
+    calls = []
+    original = nb.apply_herm_fn
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(nb, "apply_herm_fn", counting)
+    return calls
+
+
+def test_func_and_cor_share_one_functional_chain(rng, monkeypatch):
+    # FUNC makes one matrix function (g^{-1}); COR at the same exponent adds
+    # only its literal sqrt(2S + I), and a new exponent evaluates both
+    calls = _count_herm_fn(monkeypatch)
+    ctx = _ctx(random_complex(rng, 4))
+    func = evaluate("FUNC", ctx)
+    assert len(calls) == 1
+    cor = evaluate("COR:2", ctx)
+    assert len(calls) == 2
+    assert cor.terms[2] == func.terms[2]
+    assert evaluate("FUNC:2", ctx) is func
+    evaluate("COR:3", ctx)
+    assert len(calls) == 4
+    assert evaluate("FUNC", ctx, r=3).terms == eval_functional_chain(ctx, power_sqrt_pair(3)).terms
+
+
+def test_contexts_never_share_a_functional_chain(rng, monkeypatch):
+    a, b = random_complex(rng, 3), random_complex(rng, 3)
+    calls = _count_herm_fn(monkeypatch)
+    first = evaluate("FUNC", _ctx(a))
+    second = evaluate("FUNC", _ctx(b))
+    assert len(calls) == 2
+    assert second.terms != first.terms
+    assert second.terms == eval_functional_chain(b, power_sqrt_pair(2)).terms
+
+
+def test_failed_functional_chain_is_not_memoized(monkeypatch):
+    # w^20 at the upper end of a loose 8-point enclosure overflows while
+    # |A|^20 does not: FUNC raises after its g^{-1}, nothing is kept, and
+    # COR:20 (whose literal middle is finite) evaluates the chain again
+    c = 4e307 ** (1 / 20)
+    ctx = MatrixContext(
+        np.diag([c, c * np.exp(1j * np.pi / 4)]), RadiusConfig(grid_points=8, target_width=1e300)
+    )
+    calls = _count_herm_fn(monkeypatch)
+    with pytest.raises(DomainError) as func_err:
+        evaluate("FUNC:20", ctx)
+    assert len(calls) == 1
+    with pytest.raises(DomainError) as cor_err:
+        evaluate("COR:20", ctx)
+    assert len(calls) == 3
+    assert str(cor_err.value) == str(func_err.value) == (
+        "f(w(A)) is not finite in double precision (entries overflow)"
+    )
 
 
 def test_context_rejects_a_different_cfg(rng):

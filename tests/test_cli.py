@@ -426,6 +426,33 @@ def test_overflow_exits_1_without_traceback(tmp_path, capsys):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--bounds", "FUNC,COR", "--r", "inf"],
+        ["--bounds", "FUNC,COR", "--r", "1e400"],
+        ["--bounds", "FUNC,COR", "--r", "nan"],
+        ["--bounds", "COR:nan"],
+    ],
+    ids=["r-inf", "r-1e400", "r-nan", "cor-nan"],
+)
+def test_bounds_non_finite_exponent_exits_1(jordan_mtx, capsys, argv):
+    assert main(["bounds", "--input", jordan_mtx, *argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: exponent r must be finite and at least 2")
+
+
+def test_study_non_finite_exponent_exits_1(capsys):
+    argv = ["study", "--family", "ginibre", "--dim", "3", "--count", "2"]
+    argv += ["--bounds", "FUNC", "--r", "nan", "--output", "csv"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: exponent r must be finite and at least 2, got nan\n"
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_func_and_cor_sums_do_not_blame_the_matrix(tmp_path, capsys):
     # every entry of [[(1e308)^(1/20)]] is about 2.6e15, and |A|^20 is finite,
     # but |A|^20 + |A*|^20 is not: FUNC halves before adding, COR names its

@@ -436,6 +436,19 @@ def test_extreme_scales_are_homogeneous():
         assert abs(est.upper - s * base.upper) <= tol
 
 
+def test_enclosure_near_the_double_range_does_not_warn():
+    # the 5x5 shift times 1.7e308: its envelope's eigenvalues span +-1.47e308,
+    # so the ascent's gaps and the LMI's M would overflow unhalved; the grid
+    # then carries the enclosure, which still holds s cos(pi/6)
+    s = 1.7e308
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        est = numerical_radius(s * shift_matrix(5))
+    w = s * math.cos(math.pi / 6)
+    assert est.lower * (1.0 - 8.0 * EPS) <= w <= est.upper
+    assert est.grid_points == 65536
+
+
 def test_sweep_chunk_byte_budget():
     # small inputs keep the 8192-matrix batches; large ones stay within 64 MiB
     budget = 64 * 2 ** 20
