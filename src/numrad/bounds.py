@@ -29,6 +29,7 @@ from functools import cached_property, lru_cache, partial
 from typing import Callable
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .linalg import (
     DomainError,
@@ -191,22 +192,29 @@ _HYPOTHESIS_GRID = np.arange(17) * 0.25  # 0, 0.25, ..., 4
 def _check_pair_hypotheses(fp: FunctionPair) -> None:
     """Grid check: g o f increasing and midpoint-convex, g increasing and
     midpoint-concave, g^{-1} increasing, on {0, 0.25, ..., 4}.  Necessary
-    conditions only."""
+    conditions only.  Each first and second difference is judged against
+    1e-9 max(1, |values it is formed from|), so one large value elsewhere on
+    the grid cannot hide a dip."""
     xs = _HYPOTHESIS_GRID
     gof = np.array([float(fp.g(fp.f(x))) for x in xs])
     gv = np.array([float(fp.g(x)) for x in xs])
     gi = np.array([float(fp.g_inverse(x)) for x in xs])
-    tol = default_tolerance(np.abs(gof).max(), np.abs(gv).max())
-    if np.any(np.diff(gof) < -tol):
+    if np.any(np.diff(gof) < -_window_tol(gof, 2)):
         raise HypothesisFailed(f"g o f is not increasing on the check grid ({fp.name})")
-    if np.any(gof[:-2] + gof[2:] - 2.0 * gof[1:-1] < -tol):
+    if np.any(gof[:-2] + gof[2:] - 2.0 * gof[1:-1] < -_window_tol(gof, 3)):
         raise HypothesisFailed(f"g o f is not midpoint-convex on the check grid ({fp.name})")
-    if np.any(np.diff(gv) < -tol):
+    if np.any(np.diff(gv) < -_window_tol(gv, 2)):
         raise HypothesisFailed(f"g is not increasing on the check grid ({fp.name})")
-    if np.any(gv[:-2] + gv[2:] - 2.0 * gv[1:-1] > tol):
+    if np.any(gv[:-2] + gv[2:] - 2.0 * gv[1:-1] > _window_tol(gv, 3)):
         raise HypothesisFailed(f"g is not midpoint-concave on the check grid ({fp.name})")
-    if np.any(np.diff(gi) < -tol):
+    if np.any(np.diff(gi) < -_window_tol(gi, 2)):
         raise HypothesisFailed(f"g_inverse is not increasing on the check grid ({fp.name})")
+
+
+def _window_tol(v: np.ndarray, k: int) -> np.ndarray:
+    """1e-9 max(1, |values|) over each run of k consecutive entries of v: the
+    tolerance of the differences formed from them."""
+    return 1e-9 * np.maximum(1.0, sliding_window_view(np.abs(v), k).max(axis=1))
 
 
 def _finite_product(m: np.ndarray, name: str) -> np.ndarray:

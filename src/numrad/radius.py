@@ -4,6 +4,24 @@ The numerical radius w(A) = sup_{||x||=1} |<Ax, x>| equals
 max_theta lambda_max(H(theta)) for the Hermitian envelope
 H(theta) = (e^{i theta} A + e^{-i theta} A*) / 2.
 
+The engine runs on one scale.  w is positively homogeneous, so
+numerical_radius divides A by 4^k, with 2k the exponent of ||A|| (frexp)
+rounded down to even, which puts ||A|| / 4^k in [1/2, 2); the target width,
+the ascent's stop threshold and the kernel slack are divided alike, and lower,
+upper (and the estimate an EnclosureNotReached carries) are multiplied back.
+The division acts on the real and imaginary parts with ldexp, exactly over
+the whole double range, subnormal ||A|| included, except where an entry of a
+huge A underflows: each part then moves by at most 2^-1075, so the normalized
+matrix is off by an E with w(E) <= ||E||_F <= sqrt(2) n 2^-1075, far below
+the slack delta >= RESIDUAL_FACTOR n eps / 2 that upper carries.  Every step
+below commutes with multiplication by a power of four (one of two would not:
+sqrt(a) sqrt(b) in the kite bound rounds differently at an odd exponent), and
+A and 4^j A normalize to the same matrix, so the enclosure of 4^j A is
+exactly 4^j times that of A unless a result leaves the double range (past
+it upper is inf; below 2^-1022 the results round to the subnormal grid).  With
+||A|| < 2 no eigenvalue gap, square or LMI matrix overflows, and no function
+here computes a scale of its own.
+
 Every envelope eigenvalue g(theta) is a valid lower bound.  The upper
 certificate uses the support lines Re(e^{i theta_k} z) <= g(theta_k) that every
 numerical-range point z obeys at the grid angles (spacing h = 2 pi / N <=
@@ -256,7 +274,8 @@ def _ascend(
     H' = dH/dtheta = (i e^{i theta} A - i e^{-i theta} A*) / 2 and H'' = -H,
     eigenvalue perturbation gives g' = y* H' y and
     g'' = -g + 2 sum_{j>1} |v_j* H' y|^2 / (g - w_j), formed in units of
-    ||H(theta)||_2 so that no square overflows.  The next angle is
+    ||H(theta)||_2 (numerical_radius passes ||A|| < 2, so no square
+    overflows).  The next angle is
     theta - g'/g'' clipped to _MAX_STEP.  |<Ay, y>| is a lower bound for
     w(A), and is accepted only when it beats ``lower``, with
     theta = -arg<Ay, y>, so Re(e^{i theta}<Ay, y>) = lower.  The ascent stops
@@ -278,21 +297,20 @@ def _ascend(
             break
         elif x is None:
             x = y
-        scale = max(abs(w[0]), abs(w[-1]))
-        if scale == 0.0:
+        unit = max(abs(w[0]), abs(w[-1]))
+        if unit == 0.0:
             break
-        # halved first, so eigenvalues near +-1e308 do not overflow the gap
-        gaps = (0.5 * w[-1] - 0.5 * w[:-1]) / (0.5 * scale)
+        gaps = (w[-1] - w[:-1]) / unit
         # at a crossing, and at once for a 1x1 input (lower = |a| = w(A))
         if not gaps.size or gaps[-1] <= _GAP:
             break
-        c = v.conj().T @ (_envelope(m, mh, 1j * np.exp(1j * th)) @ y) / scale
+        c = v.conj().T @ (_envelope(m, mh, 1j * np.exp(1j * th)) @ y) / unit
         slope = c[-1].real
-        curv = 2.0 * float(np.sum(np.abs(c[:-1]) ** 2 / gaps)) - w[-1] / scale
+        curv = 2.0 * float(np.sum(np.abs(c[:-1]) ** 2 / gaps)) - w[-1] / unit
         if curv >= 0.0:
             break
         nxt = min(_MAX_STEP, max(-_MAX_STEP, -slope / curv))
-        if w[-1] + 0.5 * scale * slope * nxt <= lower + stop:
+        if w[-1] + 0.5 * unit * slope * nxt <= lower + stop:
             break
         th += nxt
     return lower, x, theta % TWO_PI, steps
@@ -334,25 +352,21 @@ def _grid_upper(gl, gr, h: float, slack: float):
 
 def _lmi_upper(m: np.ndarray, r: float, target: float) -> float:
     """Certified upper bound on w(A) from Ando's LMI at the trial radius r
-    (see the module docstring); ``math.inf`` when M is not finite or its
-    eigensolve fails.
+    (see the module docstring); ``math.inf`` when the eigensolve of M fails.
 
     Cyclic reduction for the maximal solution X of X + A X^{-1} A* = 2 r I
-    (Meini's X + B* X^{-1} B = Q with B = A*) runs on the equation divided by
-    the power of two 2^k <= r < 2^(k+1), so neither huge nor tiny inputs
-    overflow or underflow the iteration.  It stops once ||B_k||_F^2 <= 0.1
-    target 2 r, after ``_LMI_STEPS`` steps, or on a failed or non-finite step,
-    keeping the last finite X.
+    (Meini's X + B* X^{-1} B = Q with B = A*) runs on the normalized matrix
+    that ``numerical_radius`` passes, so ||A|| < 2 and r is near w(A): neither
+    the iteration nor M overflows or underflows.  It stops once ||B_k||_F^2
+    <= 0.1 target 2 r, after ``_LMI_STEPS`` steps, or on a failed or
+    non-finite step, keeping the last finite X.
     """
     n = m.shape[0]
-    scale = math.ldexp(1.0, math.frexp(r)[1] - 1)
-    q = 2.0 * (r / scale)
     eye = np.eye(n)
-    b = m.conj().T / scale
-    x = q * eye
-    y = q * eye
-    # ||B_k||^2 <= 0.1 target 2r in scaled units, without squaring
-    stop = math.sqrt(0.1 * target / scale) * math.sqrt(q)
+    b = m.conj().T
+    x = 2.0 * r * eye
+    y = x
+    stop = math.sqrt(0.1 * target * 2.0 * r)
     for _ in range(_LMI_STEPS):
         # also ends on a non-finite B_k
         if not np.linalg.norm(b) > stop:
@@ -369,12 +383,8 @@ def _lmi_upper(m: np.ndarray, r: float, target: float) -> float:
             break
         x, y, b = x_next, y - b @ ybh - bhyb, b @ yb
 
-    # an overflow here (r near the double range) is caught as a non-finite M
-    with np.errstate(over="ignore", invalid="ignore"):
-        z = _hermitize(r * eye - scale * x)
-        mm = np.block([[r * eye + z, m], [m.conj().T, r * eye - z]])
-    if not np.all(np.isfinite(mm)):
-        return math.inf
+    z = _hermitize(r * eye - x)
+    mm = np.block([[r * eye + z, m], [m.conj().T, r * eye - z]])
     try:
         lam = float(np.linalg.eigvalsh(mm)[0])
     except np.linalg.LinAlgError:
@@ -391,17 +401,25 @@ def numerical_radius(a, cfg: RadiusConfig | None = None) -> RadiusEstimate:
     width; a refinement midpoint more than 0.01 target above lower starts a
     new ascent.
 
-    Raises :class:`EnclosureNotReached` carrying the best estimate if the
-    grid cap of 2**20 points is insufficient.
+    All of this runs on A / 4^k (the module docstring); the results come
+    back in the caller's units.  Raises :class:`EnclosureNotReached`
+    carrying the best estimate if the grid cap of 2**20 points is
+    insufficient.
     """
     m = as_square(a)
     cfg = cfg or RadiusConfig()
-    mh = m.conj().T
     n = m.shape[0]
     norm = operator_norm(m)
-    target = cfg.resolve_target(norm)
+    # the engine runs on A / 4^k, with 2k the exponent of ||A|| rounded down
+    # to even, and f * f = 4^k scales its results back (the module docstring)
+    e = math.frexp(norm)[1] & ~1
+    f = 2.0 ** (e // 2)
+    m = np.ldexp(np.ascontiguousarray(m).view(np.float64), -e).view(np.complex128)
+    mh = m.conj().T
+    want = cfg.resolve_target(norm)
+    target = want / f / f
     stop = 0.01 * target
-    slack = RESIDUAL_FACTOR * n * EPS * norm
+    slack = RESIDUAL_FACTOR * n * EPS * (norm / f / f)
 
     nn = cfg.grid_points
     h = TWO_PI / nn
@@ -434,12 +452,7 @@ def numerical_radius(a, cfg: RadiusConfig | None = None) -> RadiusEstimate:
                 upper = lmi
                 break
         if 2 * nn > GRID_CAP:
-            best = RadiusEstimate(lower, upper, theta % TWO_PI, x, nn, iters)
-            raise EnclosureNotReached(
-                f"enclosure width {upper - lower:.3e} above target {target:.3e} "
-                f"at grid cap {GRID_CAP}",
-                best,
-            )
+            break
         keep = certs > lower
         lefts, gl, gr = lefts[keep], gl[keep], gr[keep]
         mids = lefts + h / 2.0
@@ -457,11 +470,10 @@ def numerical_radius(a, cfg: RadiusConfig | None = None) -> RadiusEstimate:
         h /= 2.0
         nn *= 2
 
-    return RadiusEstimate(
-        lower=float(lower),
-        upper=float(upper),
-        theta_star=float(theta % TWO_PI),
-        witness=x,
-        grid_points=nn,
-        refinement_iters=iters,
-    )
+    est = RadiusEstimate(lower * f * f, upper * f * f, theta % TWO_PI, x, nn, iters)
+    if upper - lower > target:
+        raise EnclosureNotReached(
+            f"enclosure width {est.width:.3e} above target {want:.3e} at grid cap {GRID_CAP}",
+            est,
+        )
+    return est

@@ -1,7 +1,19 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+
+_TESTS = Path(__file__).resolve().parent
+
+
+def pytest_collection_modifyitems(items):
+    # an overflow or invalid operation anywhere in the library fails the
+    # test that caused it, unless the test says otherwise
+    for item in items:
+        if _TESTS in item.path.resolve().parents:
+            item.add_marker(pytest.mark.filterwarnings("error::RuntimeWarning"), append=False)
 
 
 @pytest.fixture

@@ -35,7 +35,7 @@ from numrad.bounds import (
 )
 from numrad.ensembles import EnsembleSpec, generate
 from numrad.linalg import DomainError, NotHermitianError, operator_norm
-from numrad.radius import RadiusConfig
+from numrad.radius import TWO_PI, RadiusConfig
 
 from conftest import random_complex
 
@@ -259,6 +259,56 @@ def test_function_pair_hypothesis_check():
             g_inverse=lambda x: math.sqrt(x) if np.isscalar(x) else np.sqrt(x),
             name="convex-g",
         )
+
+
+def _dip_then_huge(x):
+    # f(x) = x, except a dip at 0.5 and a huge value at the grid's end
+    return {0.5: 0.1, 4.0: 1e300}.get(float(x), x)
+
+
+def _wavy_inverse(x):
+    # the identity's inverse at integer and half-integer points, not monotone
+    # between them
+    return x + np.sin(TWO_PI * x)
+
+
+@pytest.mark.parametrize(
+    "f, g, g_inverse, gate",
+    [
+        (lambda x: -x, lambda x: x, lambda x: x, "g o f is not increasing"),
+        (_dip_then_huge, lambda x: x, lambda x: x, "g o f is not increasing"),
+        (np.sqrt, lambda x: x, lambda x: x, "g o f is not midpoint-convex"),
+        (lambda x: -x * x, lambda x: -x, lambda x: -x, "g is not increasing"),
+        (lambda x: x, lambda x: x, _wavy_inverse, "g_inverse is not increasing"),
+    ],
+    ids=["decreasing", "dip-beside-a-huge-value", "concave", "decreasing-g", "wavy-inverse"],
+)
+def test_each_hypothesis_gate_fires(f, g, g_inverse, gate):
+    # every pair passes the inverse round trip, so the named gate alone
+    # rejects it; the dip is judged against its own neighbours, not 1e-9
+    # times the 1e300 at x = 4
+    with pytest.raises(HypothesisFailed, match=gate):
+        FunctionPair(f, g, g_inverse, name="bad")
+
+
+def test_power_sqrt_pairs_pass_the_hypothesis_gate():
+    for r in (2, 2.5, 3, 7, 20, 60):
+        nb._check_pair_hypotheses(power_sqrt_pair(r))
+
+
+def test_scalar_only_pair_matches_its_numpy_twin():
+    # math functions reject arrays, so every spectral function of this pair
+    # runs through the element-wise fallback
+    scalar = FunctionPair(
+        f=lambda x: math.pow(x, 2.0),
+        g=lambda x: x + math.sqrt(x),
+        g_inverse=lambda x: x + 0.5 - math.sqrt(x + 0.25),
+        name="scalar",
+    )
+    for a in (J, generate(EnsembleSpec("ginibre", 5, 1, seed=0), 0)):
+        got = eval_functional_chain(MatrixContext(a), scalar).terms
+        want = eval_functional_chain(MatrixContext(a), power_sqrt_pair(2)).terms
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
 def test_parse_bound_id():

@@ -232,6 +232,31 @@ def test_bounds_unknown_id_exits_1(jordan_mtx, capsys):
     assert "valid ids" in capsys.readouterr().err
 
 
+def test_bounds_empty_list_exits_1(jordan_mtx, capsys):
+    assert main(["bounds", "--input", jordan_mtx, "--bounds", ","]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: empty bound list\n"
+
+
+def test_svd_failure_exits_1(jordan_mtx, capsys, monkeypatch):
+    # LAPACK failing inside linalg.svd (B0 reads ||A|| from the full SVD)
+    # surfaces as the ConvergenceError message, not a traceback; the
+    # enclosure's singular-value-only norm still runs
+    full_svd = np.linalg.svd
+
+    def failing_svd(m, *args, **kwargs):
+        if kwargs.get("compute_uv", True):
+            raise np.linalg.LinAlgError("rigged")
+        return full_svd(m, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", failing_svd)
+    assert main(["bounds", "--input", jordan_mtx, "--bounds", "B0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: SVD did not converge: rigged\n"
+
+
 def test_bounds_r_flag(jordan_mtx, capsys):
     assert main(
         ["bounds", "--input", jordan_mtx, "--bounds", "COR", "--r", "3",

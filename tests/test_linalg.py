@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -133,6 +135,23 @@ def test_apply_herm_fn_domain_error():
         apply_herm_fn(h, np.sqrt)
     with pytest.raises(DomainError):
         apply_herm_fn(h, lambda x: 1.0 / x * 0 + np.log(x))
+
+
+def test_apply_herm_fn_fallback_keeps_domain_errors():
+    # a scalar-only function takes the element-wise fallback, and a
+    # DomainError it raises there reaches the caller unchanged
+    err = DomainError("negative input")
+
+    def scalar_sqrt(x):
+        if x < 0:
+            raise err
+        return math.sqrt(x)
+
+    h = np.diag([4.0, 1.0]).astype(complex)
+    assert_allclose(apply_herm_fn(h, scalar_sqrt), np.diag([2.0, 1.0]), atol=1e-14)
+    with pytest.raises(DomainError) as info:
+        apply_herm_fn(np.diag([-1.0, 1.0]).astype(complex), scalar_sqrt)
+    assert info.value is err
 
 
 def test_cartesian_decomp(rng):

@@ -148,6 +148,17 @@ def test_enclosure_not_reached_carries_estimate():
     assert est.grid_points == GRID_CAP
     assert est.lower == pytest.approx(0.5, abs=1e-12)
     assert est.width > 1e-16
+    # ||J|| = 1 is never scaled; 4^100 J is, and its estimate and message
+    # come back in the caller's units
+    s = 4.0 ** 100
+    with pytest.raises(EnclosureNotReached) as info:
+        numerical_radius(s * J, RadiusConfig(target_width=s * 1e-16))
+    big = info.value.estimate
+    assert (big.lower, big.upper) == (s * est.lower, s * est.upper)
+    assert (big.theta_star, big.grid_points) == (est.theta_star, est.grid_points)
+    assert np.array_equal(big.witness, est.witness)
+    assert f"above target {s * 1e-16:.3e}" in str(info.value)
+    assert f"width {big.width:.3e}" in str(info.value)
 
 
 def test_witness_attains_lower(rng):
@@ -438,15 +449,35 @@ def test_extreme_scales_are_homogeneous():
 
 def test_enclosure_near_the_double_range_does_not_warn():
     # the 5x5 shift times 1.7e308: its envelope's eigenvalues span +-1.47e308,
-    # so the ascent's gaps and the LMI's M would overflow unhalved; the grid
-    # then carries the enclosure, which still holds s cos(pi/6)
+    # but the engine runs on A / 2^1024, so the disk-shaped range stops at the
+    # sweep on the LMI certificate, and the enclosure holds s cos(pi/6)
     s = 1.7e308
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         est = numerical_radius(s * shift_matrix(5))
     w = s * math.cos(math.pi / 6)
     assert est.lower * (1.0 - 8.0 * EPS) <= w <= est.upper
-    assert est.grid_points == 65536
+    assert est.grid_points == RadiusConfig().grid_points
+    assert est.width <= RadiusConfig().resolve_target(s)
+
+
+def test_enclosures_scale_exactly_by_powers_of_four():
+    # w(4^k A) = 4^k w(A), and the engine runs on the same normalized matrix
+    # for both, so every field agrees bit for bit with the target scaled
+    # alike; at k = -500 the target itself is subnormal
+    for family in FAMILIES:
+        for n in (1, 2, 5, 13):
+            a = generate(EnsembleSpec(family, n, 1, seed=0), 0)
+            t = 1e-9 * max(1.0, operator_norm(a))
+            base = numerical_radius(a, RadiusConfig(target_width=t))
+            for k in (60, -60, 250, -250, 500, -500):
+                s = 4.0 ** k
+                est = numerical_radius(s * a, RadiusConfig(target_width=s * t))
+                case = (family, n, k)
+                assert (est.lower, est.upper) == (s * base.lower, s * base.upper), case
+                assert (est.theta_star, est.grid_points) == (base.theta_star, base.grid_points), case
+                assert est.refinement_iters == base.refinement_iters, case
+                assert np.array_equal(est.witness, base.witness), case
 
 
 def test_sweep_chunk_byte_budget():
@@ -569,10 +600,9 @@ def test_lmi_upper_is_sound_across_families(monkeypatch):
 
 def test_lmi_failure_exits_stay_sound(monkeypatch):
     # a failed or non-finite cyclic-reduction step ends it with the last
-    # finite X, which only loosens the bound; a non-finite M~ (at r near the
-    # double range 2r overflows) or a failed eigensolve gives inf.  Every exit
-    # stays >= w(A), and with the LMI failing, numerical_radius encloses by
-    # the grid alone
+    # finite X, which only loosens the bound; a failed eigensolve of M~ gives
+    # inf.  Every exit stays >= w(A) at trial radii below, at and above w(A),
+    # and with the LMI failing, numerical_radius encloses by the grid alone
     eigvalsh = np.linalg.eigvalsh
     calls = []
 
@@ -592,19 +622,17 @@ def test_lmi_failure_exits_stay_sound(monkeypatch):
 
     for a, w in ((J, 0.5), (shift_matrix(5), math.cos(math.pi / 6))):
         target = RadiusConfig().resolve_target(operator_norm(a))
-        r = w + target / 2.0
-        with np.errstate(over="ignore"):
-            assert _lmi_upper(a, 1e308, target) == math.inf
-        for solve in (failing_solve, nan_solve):
-            calls.clear()
-            with monkeypatch.context() as patch:
-                patch.setattr(np.linalg, "solve", solve)
-                got = _lmi_upper(a, r, target)
-            assert len(calls) == 1
-            assert w <= got < math.inf
+        for r in (w * (1 - 1e-6), w, w * (1 + 1e-10), w + target / 2.0):
+            for solve in (failing_solve, nan_solve):
+                calls.clear()
+                with monkeypatch.context() as patch:
+                    patch.setattr(np.linalg, "solve", solve)
+                    got = _lmi_upper(a, r, target)
+                assert len(calls) == 1
+                assert w <= got < math.inf
         with monkeypatch.context() as patch:
             patch.setattr(np.linalg, "eigvalsh", failing_on_m)
-            assert _lmi_upper(a, r, target) == math.inf
+            assert _lmi_upper(a, w + target / 2.0, target) == math.inf
             est = numerical_radius(a)
         assert est.grid_points == 65536
         assert est.lower - 1e-15 <= w <= est.upper
@@ -716,10 +744,17 @@ def test_disk_ranges_take_the_lmi_path(rng, monkeypatch):
     assert est.grid_points > 64
 
 
+def _normalized(a):
+    """A / 4^k as numerical_radius forms it, with the power 4^k."""
+    e = math.frexp(operator_norm(a))[1] & ~1
+    return np.ldexp(a.view(np.float64), -e).view(np.complex128), math.ldexp(1.0, e)
+
+
 def test_lmi_path_at_extreme_scales():
     # J * 1e300 and J * 1e-200: either the LMI meets the width or the grid
     # does, and the enclosure holds w = scale / 2 either way, also with a
-    # target small enough that the sweep alone cannot meet it
+    # target small enough that the sweep alone cannot meet it.  The LMI
+    # itself only ever sees the normalized matrix
     for scale in (1e300, 1e-200):
         a = J * scale
         w = 0.5 * scale
@@ -727,5 +762,7 @@ def test_lmi_path_at_extreme_scales():
             est = numerical_radius(a, cfg)
             assert est.lower <= w * (1 + 1e-15) and w <= est.upper
             assert est.width <= cfg.resolve_target(scale)
-        for r in (w * (1 - 1e-6), w, w * (1 + 1e-10)):
-            assert _lmi_upper(a, r, 1e-12 * scale) >= w
+        m, power = _normalized(a)
+        ws = w / power
+        for r in (ws * (1 - 1e-6), ws, ws * (1 + 1e-10)):
+            assert _lmi_upper(m, r, 1e-12 * ws) >= ws
