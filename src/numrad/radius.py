@@ -5,10 +5,12 @@ max_theta lambda_max(H(theta)) for the Hermitian envelope
 H(theta) = (e^{i theta} A + e^{-i theta} A*) / 2.
 
 The engine runs on one scale.  w is positively homogeneous, so
-numerical_radius divides A by 4^k, with 2k the exponent of ||A|| (frexp)
-rounded down to even, which puts ||A|| / 4^k in [1/2, 2); the target width,
-the ascent's stop threshold and the kernel slack are divided alike, and lower,
-upper (and the estimate an EnclosureNotReached carries) are multiplied back.
+numerical_radius divides A by 4^k, with 2k the exponent (frexp) of the largest
+real or imaginary part of an entry rounded down to even.  That part is finite
+even where ||A|| overflows, it lands in [1/2, 2), and ||A|| / 4^k in
+[1/2, 2 sqrt(2) n); the norm, the target width, the ascent's stop threshold
+and the kernel slack are taken on A / 4^k, and lower, upper (and the estimate
+an EnclosureNotReached carries) are multiplied back.
 The division acts on the real and imaginary parts with ldexp, exactly over
 the whole double range, subnormal ||A|| included, except where an entry of a
 huge A underflows: each part then moves by at most 2^-1075, so the normalized
@@ -17,10 +19,11 @@ the slack delta >= RESIDUAL_FACTOR n eps / 2 that upper carries.  Every step
 below commutes with multiplication by a power of four (one of two would not:
 sqrt(a) sqrt(b) in the kite bound rounds differently at an odd exponent), and
 A and 4^j A normalize to the same matrix, so the enclosure of 4^j A is
-exactly 4^j times that of A unless a result leaves the double range (past
-it upper is inf; below 2^-1022 the results round to the subnormal grid).  With
-||A|| < 2 no eigenvalue gap, square or LMI matrix overflows, and no function
-here computes a scale of its own.
+exactly 4^j times that of A unless a result leaves the double range or
+lands on the subnormal grid; there the product is rounded outward, lower
+toward 0 (the largest double past the range) and upper toward +inf.  With
+||A|| < 2 sqrt(2) n no eigenvalue gap, square or LMI matrix overflows, and no
+function here computes a scale of its own.
 
 Every envelope eigenvalue g(theta) is a valid lower bound.  The upper
 certificate uses the support lines Re(e^{i theta_k} z) <= g(theta_k) that every
@@ -71,9 +74,12 @@ When the numerical range is a disk centred at 0 (the Jordan block, weighted
 shifts, every 2x2 nilpotent matrix) the envelope is constant, nothing is
 pruned, and the grid would have to double to 65536-131072 points.  Such
 inputs are recognised after the sweep: if on at least half of its intervals
-the envelope stays within the factor cos(pi / 64) of lower (at the default
-64 points: the first pass keeps half its intervals), a grid-free certificate
-is tried once, at the trial radius r = lower + target / 2.  By Ando's
+the envelope stays within the fixed factor cos(pi / 64) of lower, whatever
+the sweep size, a grid-free certificate is tried once, at the trial radius
+r = lower + target / 2.  At the default 16 points this fires on disk-shaped
+ranges and on no generic draw of the tests' sample; at 8 points it also
+fires on a few real Gaussian draws, where a missed width only costs the
+try.  By Ando's
 theorem (Acta Sci. Math. 34, 1973), w(A) <= r iff some Hermitian Z makes
 
     M(Z) = [[r I + Z, A], [A*, r I - Z]]
@@ -117,7 +123,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import EPS, RESIDUAL_FACTOR, _hermitize, as_square, operator_norm
+from .linalg import EPS, RESIDUAL_FACTOR, _hermitize, as_square, max_abs, operator_norm
 
 TWO_PI = 2.0 * np.pi
 
@@ -145,9 +151,10 @@ _LMI_STEPS = 50
 
 # The envelope counts as flat when, on at least half of the sweep's
 # intervals, the larger endpoint value is within this factor of the lower
-# bound.  It is the secant factor cos(h/2) of the default 64-point sweep: at
-# that size the rule reads "the first pass keeps half its intervals", and a
-# coarser sweep does not loosen it.
+# bound.  A constant envelope meets it to rounding at any sweep size, so it
+# is a fixed threshold, not tied to the sweep's spacing: a generic envelope
+# that meets it on half the circle varies by under 0.12% there, and a wrong
+# trigger costs one LMI try, never soundness.
 _FLAT = math.cos(math.pi / 64)
 
 # Folds negative or oversized seeds into numpy's unsigned 64-bit seed range.
@@ -171,7 +178,7 @@ class RadiusConfig:
     resolves to ``target_width_rel * max(1, ||A||)``.
     """
 
-    grid_points: int = 64
+    grid_points: int = 16
     target_width: float | None = None
     target_width_rel: float = 1e-9
 
@@ -183,10 +190,12 @@ class RadiusConfig:
         if not self.target_width_rel > 0:
             raise ValueError("target_width_rel must be positive")
 
-    def resolve_target(self, norm: float) -> float:
+    def resolve_target(self, norm: float, f: float = 1.0) -> float:
+        """Target width for A / f^2, given norm = ||A / f^2|| (f a power of
+        two; by default the caller's units)."""
         if self.target_width is not None:
-            return self.target_width
-        return self.target_width_rel * max(1.0, norm)
+            return self.target_width / f / f
+        return self.target_width_rel * max(1.0 / f / f, norm)
 
 
 @dataclass(eq=False)
@@ -274,7 +283,7 @@ def _ascend(
     H' = dH/dtheta = (i e^{i theta} A - i e^{-i theta} A*) / 2 and H'' = -H,
     eigenvalue perturbation gives g' = y* H' y and
     g'' = -g + 2 sum_{j>1} |v_j* H' y|^2 / (g - w_j), formed in units of
-    ||H(theta)||_2 (numerical_radius passes ||A|| < 2, so no square
+    ||H(theta)||_2 (numerical_radius passes ||A|| < 2 sqrt(2) n, so no square
     overflows).  The next angle is
     theta - g'/g'' clipped to _MAX_STEP.  |<Ay, y>| is a lower bound for
     w(A), and is accepted only when it beats ``lower``, with
@@ -356,10 +365,10 @@ def _lmi_upper(m: np.ndarray, r: float, target: float) -> float:
 
     Cyclic reduction for the maximal solution X of X + A X^{-1} A* = 2 r I
     (Meini's X + B* X^{-1} B = Q with B = A*) runs on the normalized matrix
-    that ``numerical_radius`` passes, so ||A|| < 2 and r is near w(A): neither
-    the iteration nor M overflows or underflows.  It stops once ||B_k||_F^2
-    <= 0.1 target 2 r, after ``_LMI_STEPS`` steps, or on a failed or
-    non-finite step, keeping the last finite X.
+    that ``numerical_radius`` passes, so ||A|| < 2 sqrt(2) n and r is near
+    w(A): neither the iteration nor M overflows or underflows.  It stops once
+    ||B_k||_F^2 <= 0.1 target 2 r, after ``_LMI_STEPS`` steps, or on a failed
+    or non-finite step, keeping the last finite X.
     """
     n = m.shape[0]
     eye = np.eye(n)
@@ -393,6 +402,14 @@ def _lmi_upper(m: np.ndarray, r: float, target: float) -> float:
     return r + max(0.0, -lam) + (RESIDUAL_FACTOR * 2 * n + 6) * EPS * norm_inf
 
 
+def _scale_back(v: float, f: float, toward: float) -> float:
+    """v * f * f in the caller's units, moved one ulp ``toward`` 0 (a lower
+    bound) or +inf (an upper bound) where the product rounded: on the
+    subnormal grid or past the double range."""
+    r = v * f * f
+    return r if r / f / f == v else math.nextafter(r, toward)
+
+
 def numerical_radius(a, cfg: RadiusConfig | None = None) -> RadiusEstimate:
     """Certified enclosure of w(A): sweep (half the angles on an even grid,
     each eigensolve giving g at theta and theta + pi), Newton ascent from the
@@ -409,17 +426,18 @@ def numerical_radius(a, cfg: RadiusConfig | None = None) -> RadiusEstimate:
     m = as_square(a)
     cfg = cfg or RadiusConfig()
     n = m.shape[0]
-    norm = operator_norm(m)
-    # the engine runs on A / 4^k, with 2k the exponent of ||A|| rounded down
-    # to even, and f * f = 4^k scales its results back (the module docstring)
-    e = math.frexp(norm)[1] & ~1
+    # the engine runs on A / 4^k, with 2k the exponent of the largest real or
+    # imaginary part rounded down to even (finite where ||A|| may not be),
+    # and f * f = 4^k scales its results back (the module docstring)
+    parts = np.ascontiguousarray(m).view(np.float64)
+    e = math.frexp(max_abs(parts))[1] & ~1
     f = 2.0 ** (e // 2)
-    m = np.ldexp(np.ascontiguousarray(m).view(np.float64), -e).view(np.complex128)
+    m = np.ldexp(parts, -e).view(np.complex128)
     mh = m.conj().T
-    want = cfg.resolve_target(norm)
-    target = want / f / f
+    norm = operator_norm(m)
+    target = cfg.resolve_target(norm, f)
     stop = 0.01 * target
-    slack = RESIDUAL_FACTOR * n * EPS * (norm / f / f)
+    slack = RESIDUAL_FACTOR * n * EPS * norm
 
     nn = cfg.grid_points
     h = TWO_PI / nn
@@ -470,10 +488,13 @@ def numerical_radius(a, cfg: RadiusConfig | None = None) -> RadiusEstimate:
         h /= 2.0
         nn *= 2
 
-    est = RadiusEstimate(lower * f * f, upper * f * f, theta % TWO_PI, x, nn, iters)
+    est = RadiusEstimate(
+        _scale_back(lower, f, 0.0), _scale_back(upper, f, math.inf), theta % TWO_PI, x, nn, iters
+    )
     if upper - lower > target:
         raise EnclosureNotReached(
-            f"enclosure width {est.width:.3e} above target {want:.3e} at grid cap {GRID_CAP}",
+            f"enclosure width {est.width:.3e} above target {target * f * f:.3e}"
+            f" at grid cap {GRID_CAP}",
             est,
         )
     return est

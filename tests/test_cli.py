@@ -95,6 +95,16 @@ def test_radius_identity(eye3_json, capsys):
     assert obj["lower"] == pytest.approx(1.0, abs=1e-9)
 
 
+def test_radius_norm_past_the_double_range(tmp_path, capsys):
+    # ||A|| overflows but w(A) = 0.7e308 (1 + sqrt 2) does not
+    path = tmp_path / "huge.json"
+    save_matrix(1.4e308 * np.array([[1.0, 1.0], [0.0, 0.0]]), str(path))
+    assert main(["radius", "--input", str(path), "--output", "json"]) == 0
+    obj = json.loads(capsys.readouterr().out)
+    w = 0.7e308 * (1.0 + np.sqrt(2.0))
+    assert obj["lower"] * (1.0 - 1e-15) <= w <= obj["upper"] < np.inf
+
+
 def test_radius_unreachable_width_exits_2(jordan_mtx, capsys):
     code = main(["radius", "--input", jordan_mtx, "--width", "1e-15"])
     captured = capsys.readouterr()

@@ -1,4 +1,5 @@
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -289,13 +290,14 @@ def test_normal_inputs_stop_at_the_sweep(monkeypatch, family):
     # lines of its interval touch: the kite is exact, so one sweep batch
     # meets the width with no refinement batch, and the enclosure holds the
     # spectral radius
+    nn = RadiusConfig().grid_points
     for n in (5, 32):
         spec = EnsembleSpec(family, n, 3, seed=5)
         for index in range(3):
             a = generate(spec, index)
             est, batches, _ = _counted(monkeypatch, a)
-            assert est.grid_points == RadiusConfig().grid_points == 64
-            assert batches == [32]
+            assert est.grid_points == nn
+            assert batches == [nn // 2]
             rho = float(np.abs(np.linalg.eigvals(a)).max())
             tol = 1e-12 * operator_norm(a)
             assert est.lower - tol <= rho <= est.upper + tol, (n, index)
@@ -310,7 +312,7 @@ def test_one_by_one_ascent_stops_at_its_first_eigh():
             est = numerical_radius(a)
             assert est.refinement_iters == 1, (family, seed)
             assert est.lower == pytest.approx(abs(a[0, 0]), rel=1e-15)
-            assert est.grid_points == 64
+            assert est.grid_points == RadiusConfig().grid_points
 
 
 def _counted(monkeypatch, a, cfg=None):
@@ -560,15 +562,25 @@ def test_elliptical_oracle_closed_forms():
     assert _ellipse_radius(a) == pytest.approx((1.0 + math.sqrt(5.0)) / 2.0, abs=1e-14)
 
 
-def test_warm_start_never_below_sweep(rng):
+def test_warm_start_never_below_sweep(rng, monkeypatch):
+    # lower is never below the peak of the sweep that ran, which the engine
+    # takes on A / 4^k.  A sweep of another size is no reference: on J the
+    # 64-point peak is 0.5000000000000001, one ulp above w(J)
+    sweeps = []
+
+    def recording(m, mh, thetas, *args, **kwargs):
+        sweeps.append(gvals(m, mh, thetas, *args, **kwargs))
+        return sweeps[-1]
+
+    gvals = numrad.radius._envelope_gvals
+    monkeypatch.setattr(numrad.radius, "_envelope_gvals", recording)
     mats = [J, shift_matrix(6)] + [random_complex(rng, n) for n in (2, 3, 5, 8, 13, 20)]
     mats.append(np.triu(random_complex(rng, 12), 1))
     for a in mats:
-        cfg = RadiusConfig()
-        nn = cfg.grid_points
-        plain = _envelope_gvals(a, a.conj().T, np.arange(nn) * (TWO_PI / nn)).max()
-        est = numerical_radius(a, cfg)
-        assert est.lower >= plain
+        sweeps.clear()
+        est = numerical_radius(a)
+        assert sweeps[0].size == RadiusConfig().grid_points
+        assert est.lower >= sweeps[0].max() * _normalized(a)[1]
         got = abs(np.vdot(est.witness, a @ est.witness))
         assert got == pytest.approx(est.lower, abs=1e-13 * max(1.0, est.lower))
 
@@ -734,20 +746,21 @@ def test_disk_ranges_take_the_lmi_path(rng, monkeypatch):
         calls.clear()
         est = numerical_radius(a)
         assert len(calls) == 1
-        assert est.grid_points == RadiusConfig().grid_points == 64
+        assert est.grid_points == RadiusConfig().grid_points
         assert est.width <= 1e-9 * max(1.0, operator_norm(a))
         if w is not None:
             assert est.lower - 1e-15 <= w <= est.upper
     calls.clear()
     est = numerical_radius(random_complex(rng, 32))
     assert calls == []
-    assert est.grid_points > 64
+    assert est.grid_points > RadiusConfig().grid_points
 
 
 def _normalized(a):
     """A / 4^k as numerical_radius forms it, with the power 4^k."""
-    e = math.frexp(operator_norm(a))[1] & ~1
-    return np.ldexp(a.view(np.float64), -e).view(np.complex128), math.ldexp(1.0, e)
+    parts = np.ascontiguousarray(a).view(np.float64)
+    e = math.frexp(float(np.abs(parts).max()))[1] & ~1
+    return np.ldexp(parts, -e).view(np.complex128), math.ldexp(1.0, e)
 
 
 def test_lmi_path_at_extreme_scales():
@@ -766,3 +779,69 @@ def test_lmi_path_at_extreme_scales():
         ws = w / power
         for r in (ws * (1 - 1e-6), ws, ws * (1 + 1e-10)):
             assert _lmi_upper(m, r, 1e-12 * ws) >= ws
+
+
+def test_finite_matrix_whose_norm_overflows():
+    # ||A|| = 1.4e308 sqrt(2) is past the double range, w(A) = 1.4e308
+    # (1 + sqrt 2) / 2 is not: the scale comes from the largest entry, and
+    # the enclosure meets the relative target
+    a = 1.4e308 * np.array([[1.0, 1.0], [0.0, 0.0]], dtype=complex)
+    est = numerical_radius(a)
+    w = 0.7e308 * (1.0 + math.sqrt(2.0))
+    assert est.lower * (1.0 - 8.0 * EPS) <= w <= est.upper < math.inf
+    assert est.width <= 1e-9 * (1.4e308 * math.sqrt(2.0))
+    # w(1e308 J_2-like ones) = 2e308 overflows: lower is the largest double
+    # and upper is inf, with no error on the way
+    est = numerical_radius(1e308 * np.ones((2, 2)))
+    assert (est.lower, est.upper) == (sys.float_info.max, math.inf)
+
+
+def test_subnormal_results_round_outward():
+    # w(c 2^-1074 J) = c 2^-1075 lies halfway between subnormals for odd c;
+    # lower rounds down to the grid and upper up, never to the nearest
+    tiny = math.ldexp(1.0, -1074)
+    for c in (1, 3, 7, 1001, 2 ** 40 + 1):
+        est = numerical_radius(c * tiny * J)
+        assert 2.0 * est.lower <= c * tiny <= 2.0 * est.upper, c
+
+
+def test_flat_trigger_fires_on_disk_ranges_only(rng, monkeypatch):
+    # the LMI is tried when the sweep's envelope is flat: at the default size
+    # on every disk-shaped range (weighted shifts, c J_n, 2x2 nilpotent
+    # draws), which then end at the sweep, and on no other draw of the
+    # sample.  At 8 points it also fires on some generic draws; that costs
+    # time only, and those enclosures still hold w(A), which the LMI-free
+    # grid enclosure shows
+    calls = []
+
+    def counting(m, r, target):
+        calls.append(r)
+        return _lmi_upper(m, r, target)
+
+    monkeypatch.setattr(numrad.radius, "_lmi_upper", counting)
+    nn = RadiusConfig().grid_points
+    coarse = RadiusConfig(grid_points=8)
+    disks = [np.diag(rng.uniform(0.5, 2.0, n) * np.exp(1j * rng.uniform(0.0, TWO_PI, n)), 1) for n in (1, 4, 12)]
+    disks += [c * shift_matrix(n) for c, n in ((1.5j, 3), (-0.7 + 0.2j, 8), (2.0, 20))]
+    for a in disks:
+        calls.clear()
+        est = numerical_radius(a)
+        assert len(calls) == 1
+        assert est.grid_points == nn
+    for family in FAMILIES:
+        for n in (2, 3, 5, 8, 13, 20, 32):
+            spec = EnsembleSpec(family, n, 3, seed=11)
+            for index in range(3):
+                a = generate(spec, index)
+                case = (family, n, index)
+                calls.clear()
+                est = numerical_radius(a)
+                disk = family == "nilpotent-shift-random" and n == 2
+                assert len(calls) == disk, case
+                if disk:
+                    assert est.grid_points == nn, case
+                calls.clear()
+                got = numerical_radius(a, coarse)
+                if calls:
+                    grid = _grid_only(monkeypatch, a)
+                    assert max(got.lower, grid.lower) <= min(got.upper, grid.upper), case
