@@ -790,7 +790,7 @@ def test_finite_matrix_whose_norm_overflows():
     w = 0.7e308 * (1.0 + math.sqrt(2.0))
     assert est.lower * (1.0 - 8.0 * EPS) <= w <= est.upper < math.inf
     assert est.width <= 1e-9 * (1.4e308 * math.sqrt(2.0))
-    # w(1e308 J_2-like ones) = 2e308 overflows: lower is the largest double
+    # w(1e308 ones((2, 2))) = 2e308 overflows: lower is the largest double
     # and upper is inf, with no error on the way
     est = numerical_radius(1e308 * np.ones((2, 2)))
     assert (est.lower, est.upper) == (sys.float_info.max, math.inf)
@@ -821,13 +821,17 @@ def test_flat_trigger_fires_on_disk_ranges_only(rng, monkeypatch):
     monkeypatch.setattr(numrad.radius, "_lmi_upper", counting)
     nn = RadiusConfig().grid_points
     coarse = RadiusConfig(grid_points=8)
-    disks = [np.diag(rng.uniform(0.5, 2.0, n) * np.exp(1j * rng.uniform(0.0, TWO_PI, n)), 1) for n in (1, 4, 12)]
+    disks = [
+        np.diag(rng.uniform(0.5, 2.0, n) * np.exp(1j * rng.uniform(0.0, TWO_PI, n)), 1)
+        for n in (1, 4, 12)
+    ]
     disks += [c * shift_matrix(n) for c, n in ((1.5j, 3), (-0.7 + 0.2j, 8), (2.0, 20))]
     for a in disks:
         calls.clear()
         est = numerical_radius(a)
         assert len(calls) == 1
         assert est.grid_points == nn
+    coarse_generic = 0
     for family in FAMILIES:
         for n in (2, 3, 5, 8, 13, 20, 32):
             spec = EnsembleSpec(family, n, 3, seed=11)
@@ -843,5 +847,7 @@ def test_flat_trigger_fires_on_disk_ranges_only(rng, monkeypatch):
                 calls.clear()
                 got = numerical_radius(a, coarse)
                 if calls:
+                    coarse_generic += not disk
                     grid = _grid_only(monkeypatch, a)
                     assert max(got.lower, grid.lower) <= min(got.upper, grid.upper), case
+    assert coarse_generic > 0
