@@ -7,6 +7,16 @@ compares the printed lines (or ``diff -r`` the two directories):
 
     PYTHONPATH=src python3 scripts/output_fingerprint.py OUTDIR
 
+or lets the script do both runs and the comparison in one command:
+
+    python3 scripts/output_fingerprint.py --against REV
+
+which extracts ``git archive REV src`` into a temporary directory, runs this
+same script (and so the same ``bench/workloads.py`` inputs) once with
+``PYTHONPATH`` at that ``src`` and once at the working tree's, prints every
+path whose digest differs or that only one side wrote, and exits 1 if there
+is one, else 0.
+
 Covered: study CSV and failures for every family at dims 2/5/13 with the
 default and the ``COR:3,FUNC:3`` id lists; ``bounds --bounds all`` in json,
 csv and human on the 2x2 Jordan block and a seeded 6x6 ginibre draw;
@@ -40,12 +50,17 @@ import hashlib
 import io
 import pathlib
 import re
+import subprocess
 import sys
+import tarfile
+import tempfile
 
 import numpy as np
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "bench"))
+# numrad from PYTHONPATH when it is set, else from this checkout's src
+sys.path.append(str(ROOT / "src"))
 
 import workloads  # noqa: E402  (bench/workloads.py)
 from numrad import bounds, cli, ensembles, matio  # noqa: E402
@@ -165,10 +180,40 @@ def write_outputs(out: pathlib.Path) -> None:
         (disk / (op.slot.replace("/", "-").replace("#", "-") + ".txt")).write_text(text)
 
 
+def _fingerprint(src: pathlib.Path, out: pathlib.Path) -> dict[str, str]:
+    """{path: digest} of a run of this script with numrad imported from ``src``."""
+    env = dict(os.environ, PYTHONPATH=str(src))
+    run = subprocess.run(
+        [sys.executable, __file__, str(out)], env=env, check=True, capture_output=True, text=True
+    )
+    return {path: digest for digest, path in (line.split("  ", 1) for line in run.stdout.splitlines())}
+
+
+def compare_against(rev: str) -> int:
+    """Print each output path that differs between ``rev`` and the working tree."""
+    with tempfile.TemporaryDirectory() as tmp:
+        base = pathlib.Path(tmp)
+        archive = subprocess.run(
+            ["git", "-C", str(ROOT), "archive", rev, "src"], check=True, capture_output=True
+        ).stdout
+        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+            tar.extractall(base / "rev", filter="data")
+        old = _fingerprint(base / "rev" / "src", base / "out-rev")
+        new = _fingerprint(ROOT / "src", base / "out-tree")
+    differ = sorted(p for p in old.keys() | new.keys() if old.get(p) != new.get(p))
+    for path in differ:
+        print(path)
+    print(f"{len(differ)} of {len(old.keys() | new.keys())} paths differ from {rev}", file=sys.stderr)
+    return 1 if differ else 0
+
+
 def main() -> int:
+    if len(sys.argv) == 3 and sys.argv[1] == "--against":
+        return compare_against(sys.argv[2])
     if len(sys.argv) != 2:
         print(__doc__.strip().splitlines()[0], file=sys.stderr)
         print("usage: output_fingerprint.py OUTDIR (must not exist)", file=sys.stderr)
+        print("       output_fingerprint.py --against REV", file=sys.stderr)
         return 2
     out = pathlib.Path(sys.argv[1])
     out.mkdir(parents=True)

@@ -90,42 +90,26 @@ class ChainReport:
         return any(link.violated for link in self.links)
 
 
-def _report(bound_id: str, lhs: float, rhs_low: float, rhs_high: float, tol: float) -> BoundReport:
-    tol_used = tol + max(0.0, rhs_high - rhs_low)
-    return BoundReport(
-        bound_id=bound_id,
-        lhs=float(lhs),
-        rhs=float(rhs_low),
-        slack=float(rhs_low - lhs),
-        violated=bool(lhs - rhs_low > tol_used),
-        tolerance_used=float(tol_used),
-    )
-
-
-def _endpoints(terms: Callable, enclosures) -> tuple[list[float], list[float]]:
-    """The smaller and the larger value of each term of ``terms(*radii)``
-    over the lower and the upper endpoints of ``enclosures``."""
+def _chain(chain_id: str, terms: Callable, *enclosures: RadiusEstimate) -> ChainReport:
+    """terms[0] <= terms[1] <= ... with ``terms`` a function of the radii the
+    ``enclosures`` enclose, evaluated at both of their endpoints (the module
+    docstring)."""
     lo = [float(t) for t in terms(*(e.lower for e in enclosures))]
     hi = [float(t) for t in terms(*(e.upper for e in enclosures))]
-    return [min(pair) for pair in zip(lo, hi)], [max(pair) for pair in zip(lo, hi)]
-
-
-def _chain(chain_id: str, terms: Callable, *enclosures: RadiusEstimate) -> ChainReport:
-    """terms[0] <= terms[1] <= ... with ``terms`` a function of the radii
-    the ``enclosures`` enclose."""
-    lows, highs = _endpoints(terms, enclosures)
+    lows = [min(pair) for pair in zip(lo, hi)]
+    highs = [max(pair) for pair in zip(lo, hi)]
     tol = default_tolerance(*highs)
-    links = tuple(
-        _report(f"{chain_id}[{k}]", lows[k], lows[k + 1], highs[k + 1], tol)
-        for k in range(len(lows) - 1)
-    )
-    return ChainReport(chain_id, tuple(lows), links)
+    links = []
+    for k in range(len(lows) - 1):
+        lhs, rhs = lows[k], lows[k + 1]
+        used = tol + max(0.0, highs[k + 1] - rhs)
+        links.append(BoundReport(f"{chain_id}[{k}]", lhs, rhs, rhs - lhs, lhs - rhs > used, used))
+    return ChainReport(chain_id, tuple(lows), tuple(links))
 
 
 def _bound(bound_id: str, terms: Callable, *enclosures: RadiusEstimate) -> BoundReport:
-    """lhs <= rhs: a one-link chain reported under its own id."""
-    lows, highs = _endpoints(terms, enclosures)
-    return _report(bound_id, lows[0], lows[1], highs[1], default_tolerance(*highs))
+    """lhs <= rhs: the one link of a chain, reported under its own id."""
+    return dataclasses.replace(_chain(bound_id, terms, *enclosures).links[0], bound_id=bound_id)
 
 
 @dataclass(frozen=True)
@@ -217,13 +201,15 @@ def _window_tol(v: np.ndarray, k: int) -> np.ndarray:
     return 1e-9 * np.maximum(1.0, sliding_window_view(np.abs(v), k).max(axis=1))
 
 
-def _finite_product(m: np.ndarray, name: str) -> np.ndarray:
-    """``m`` unchanged; raises DomainError if it overflowed to a non-finite
-    entry, so the failure names the product instead of the generic input
-    gate of the enclosure that would read it."""
-    if not np.all(np.isfinite(m)):
+def _finite(name: str, compute: Callable):
+    """``compute()``, with overflow silenced; raises DomainError if an entry
+    of the result is not finite, so the failure names the quantity instead of
+    the generic input gate of the enclosure that would read it."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = compute()
+    if not np.all(np.isfinite(value)):
         raise DomainError(f"{name} is not finite in double precision (entries overflow)")
-    return m
+    return value
 
 
 class MatrixContext:
@@ -275,9 +261,7 @@ class MatrixContext:
     @cached_property
     def gram_sum(self) -> np.ndarray:
         """|A|^2 + |A*|^2 computed exactly as A*A + AA*."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            gram = _hermitize(self.ah @ self.a + self.a @ self.ah)
-        return _finite_product(gram, "A*A + AA*")
+        return _finite("A*A + AA*", lambda: _hermitize(self.ah @ self.a + self.a @ self.ah))
 
     @cached_property
     def gram_norm(self) -> float:
@@ -304,9 +288,7 @@ class MatrixContext:
         """(A* - A)^2 (A* + A)^2."""
         d = self.ah - self.a
         s = self.ah + self.a
-        with np.errstate(over="ignore", invalid="ignore"):
-            prod = d @ d @ s @ s
-        return _finite_product(prod, "(A* - A)^2 (A* + A)^2")
+        return _finite("(A* - A)^2 (A* + A)^2", lambda: d @ d @ s @ s)
 
     @cached_property
     def omega_quad(self) -> RadiusEstimate:
@@ -315,9 +297,7 @@ class MatrixContext:
     @cached_property
     def c2b2(self) -> np.ndarray:
         b, c = self.cartesian
-        with np.errstate(over="ignore", invalid="ignore"):
-            prod = c @ c @ b @ b
-        return _finite_product(prod, "C^2 B^2")
+        return _finite("C^2 B^2", lambda: c @ c @ b @ b)
 
     @cached_property
     def omega_c2b2(self) -> RadiusEstimate:
@@ -368,9 +348,8 @@ def eval_chain_t1(a) -> ChainReport:
     """|| |A|^2+|A*|^2 ||/4 <= (||A+A*||^2 + ||A-A*||^2)/8 <= w(A)^2."""
     c = _ctx(a)
     gram = c.gram_norm  # first, so an overflowing A*A + AA* is named before the middle term
-    with np.errstate(over="ignore"):
-        total = np.float64(c.norm_plus) ** 2 + np.float64(c.norm_minus) ** 2
-    mid = float(_finite_product(total, "||A+A*||^2 + ||A-A*||^2")) / 8.0
+    squares = lambda: np.float64(c.norm_plus) ** 2 + np.float64(c.norm_minus) ** 2
+    mid = float(_finite("||A+A*||^2 + ||A-A*||^2", squares)) / 8.0
     return _chain("T1", lambda w: (0.25 * gram, mid, w ** 2), c.omega)
 
 
@@ -412,9 +391,10 @@ def eval_chain_t2(a) -> ChainReport:
 
     def terms(w, wq):
         quarter = 0.25 * c.gram_norm  # first, so an overflowing A*A + AA* is named first
-        with np.errstate(over="ignore"):
-            inner = 2.0 * np.float64(w) ** 4 + np.float64(wq) / 8.0
-        inner = _finite_product(inner, "2 w(A)^4 + w((A*-A)^2 (A*+A)^2)/8")
+        inner = _finite(
+            "2 w(A)^4 + w((A*-A)^2 (A*+A)^2)/8",
+            lambda: 2.0 * np.float64(w) ** 4 + np.float64(wq) / 8.0,
+        )
         return quarter, 0.5 * math.sqrt(inner), w ** 2
 
     return _chain("T2", terms, c.omega, c.omega_quad)
@@ -482,9 +462,7 @@ def eval_functional_chain(a, fp: FunctionPair) -> ChainReport:
     right = operator_norm(np.add(*(0.5 * m for m in c.f_abs(fp.f))))
 
     def terms(w):
-        with np.errstate(over="ignore"):
-            lhs = np.float64(fp.f(np.float64(w)))
-        return _finite_product(lhs, "f(w(A))"), mid, right
+        return _finite("f(w(A))", lambda: np.float64(fp.f(np.float64(w)))), mid, right
 
     return _chain("FUNC", terms, c.omega)
 
@@ -501,10 +479,13 @@ def eval_chain_cor(a, r: float = 2.0) -> ChainReport:
     r = _exponent(r)
     c = _ctx(a)
     pw = lambda x: x ** r + x ** (r / 2.0)
-    with np.errstate(over="ignore", invalid="ignore"):
-        s_mat = np.add(*c.f_abs(pw))
-        eye = np.eye(s_mat.shape[0])
-        twice = _finite_product(2.0 * s_mat + eye, "2S + I, S = |A|^r+|A*|^r+|A|^{r/2}+|A*|^{r/2}")
+    eye = np.eye(c.a.shape[0])
+
+    def sums():
+        s = np.add(*c.f_abs(pw))
+        return s, 2.0 * s + eye
+
+    s_mat, twice = _finite("2S + I, S = |A|^r+|A*|^r+|A|^{r/2}+|A*|^{r/2}", sums)
     root = apply_herm_fn(twice, np.sqrt)
     mid = 0.5 * operator_norm(s_mat + eye - root)
 
@@ -610,22 +591,25 @@ def parse_bound_id(token: str) -> tuple[str, float | None]:
     return base, r
 
 
-def catalog_entry(token: str) -> CatalogEntry:
-    """The registry entry an id token such as ``COR:3`` names."""
-    return _BY_ID[parse_bound_id(token)[0]]
-
-
-def evaluate(token: str, a, *, r: float = 2.0):
-    """Evaluate a single-matrix catalog entry by id on a matrix or a
-    :class:`MatrixContext` (``COR:3`` style suffixes override the exponent).
-    Arity-2 lemmas cannot be evaluated here."""
+def resolve_bound_id(token: str, r: float = 2.0) -> tuple[CatalogEntry, tuple[float, ...]]:
+    """The single-matrix registry entry an id token such as ``COR:3`` names,
+    and the arguments its evaluator takes after the context: the exponent,
+    from the suffix or else ``r``, when the entry takes one.  Raises
+    ValueError for an unknown id, a bad exponent or an arity-2 lemma."""
     base, suffix_r = parse_bound_id(token)
     entry = _BY_ID[base]
     if entry.evaluator is None:
         raise ValueError(f"bound {base} needs two matrices")
     if not entry.takes_r:
-        return entry.evaluator(_ctx(a))
-    return entry.evaluator(_ctx(a), suffix_r if suffix_r is not None else float(r))
+        return entry, ()
+    return entry, (suffix_r if suffix_r is not None else _exponent(r),)
+
+
+def evaluate(token: str, a, *, r: float = 2.0):
+    """Evaluate a single-matrix catalog entry by id on a matrix or a
+    :class:`MatrixContext` (``COR:3`` style suffixes override the exponent)."""
+    entry, args = resolve_bound_id(token, r)
+    return entry.evaluator(_ctx(a), *args)
 
 
 def summary_row(report) -> tuple[float, float, float, bool]:

@@ -230,7 +230,7 @@ def cmd_bounds(args) -> int:
     _emit(text, args.out)
 
     bad = any(
-        violated and not catalog.catalog_entry(token).diagnostic
+        violated and not catalog.resolve_bound_id(token, args.r)[0].diagnostic
         for token, _, _, _, violated in rows
     )
     return EXIT_VIOLATION if bad else EXIT_OK
@@ -265,7 +265,7 @@ def cmd_study(args) -> int:
     _emit(text, args.out)
 
     bad = any(
-        not catalog.catalog_entry(row.bound_id).diagnostic
+        not catalog.resolve_bound_id(row.bound_id, args.r)[0].diagnostic
         for row in report.violations
     )
     return EXIT_VIOLATION if bad else EXIT_OK

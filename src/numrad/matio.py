@@ -50,8 +50,6 @@ def json_encode(value, indent: int = 0) -> str:
         return g17(value)
     if isinstance(value, str):
         return json.dumps(value)
-    if value is None:
-        return "null"
     if isinstance(value, (list, tuple)):
         if any(isinstance(v, dict) for v in value):
             items = [json_encode(v, indent + 2) for v in value]

@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import math
 
@@ -174,6 +175,29 @@ def test_cor_and_func_middles_agree(rng):
             assert cor.terms[1] == pytest.approx(func.terms[1], abs=1e-12 * max(1.0, cor.terms[1]))
 
 
+def test_cor_rejects_a_functional_middle_that_disagrees(rng, monkeypatch):
+    # COR assembles its middle term literally and must agree with FUNC's
+    # memoized middle; one that is 1e-6 off, relative, is an identity failure
+    ctx = _ctx(random_complex(rng, 3))
+    func = ctx.functional_chain(2)
+    skewed = dataclasses.replace(
+        func, terms=(func.terms[0], func.terms[1] * (1 + 1e-6), func.terms[2])
+    )
+    monkeypatch.setattr(ctx, "functional_chain", lambda r: skewed)
+    with pytest.raises(IdentityCheckError, match="disagrees with functional middle"):
+        evaluate("COR", ctx)
+
+
+def test_cor_names_an_overflowing_2s_plus_i():
+    # |A|^2 + |A*|^2 = diag(2e308, 0) overflows, though each power is finite
+    with pytest.raises(DomainError) as info:
+        eval_chain_cor(np.diag([1e154, 0.0]))
+    assert str(info.value) == (
+        "2S + I, S = |A|^r+|A*|^r+|A|^{r/2}+|A*|^{r/2} is not finite in double "
+        "precision (entries overflow)"
+    )
+
+
 def test_hermitian_collapse(rng):
     # for Hermitian A: w = ||A||, KIT and T3 are equalities, T1 middle is ||A||^2/2
     g = random_complex(rng, 5)
@@ -231,6 +255,11 @@ def test_lemma_pos_diff_rejects_indefinite():
         eval_lemma_pos_diff(np.diag([-1.0, 1.0]).astype(complex), np.eye(2, dtype=complex))
     with pytest.raises(NotHermitianError):
         eval_lemma_pos_diff(J, np.eye(2, dtype=complex))
+
+
+def test_lemma_pos_diff_rejects_mismatched_dimensions():
+    with pytest.raises(ValueError, match="operands must share a dimension"):
+        eval_lemma_pos_diff(np.eye(2, dtype=complex), np.eye(3, dtype=complex))
 
 
 def test_lemma_pos_diff_random_psd(rng):

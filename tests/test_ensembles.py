@@ -1,4 +1,6 @@
 import json
+import math
+import re
 
 import numpy as np
 import pytest
@@ -135,6 +137,23 @@ def test_run_study_rejects_bad_ids():
         run_study(spec, ["LEM-SUM"], FAST)
     with pytest.raises(ValueError):
         run_study(spec, ["NOPE"], FAST)
+
+
+@pytest.mark.parametrize(
+    "ids, r, message",
+    [
+        (["B0", "LEM-SUM"], 2.0, "bound LEM-SUM needs two matrices"),
+        (["B0", "COR:1"], 2.0, "exponent r must be finite and at least 2, got 1"),
+        (["B0", "FUNC"], math.nan, "exponent r must be finite and at least 2, got nan"),
+    ],
+)
+def test_run_study_rejects_ids_before_the_first_draw(ids, r, message, monkeypatch):
+    def no_draw(spec, index):
+        raise AssertionError("a matrix was drawn before the ids were checked")
+
+    monkeypatch.setattr(numrad.ensembles, "generate", no_draw)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        run_study(EnsembleSpec("ginibre", 2, 3), ids, FAST, r=r)
 
 
 def test_run_study_records_failures():

@@ -64,6 +64,45 @@ def test_svd_reconstruction(rng):
     assert np.all(r.singular_values >= 0)
 
 
+def test_svd_failures_raise_convergence_error(rng, monkeypatch):
+    a = random_complex(rng, 4)
+    real = np.linalg.svd
+
+    def inflated(m, *args, **kwargs):
+        u, s, vh = real(m, *args, **kwargs)
+        return u, s * (1 + 1e-6), vh
+
+    monkeypatch.setattr(np.linalg, "svd", inflated)
+    with pytest.raises(ConvergenceError, match="SVD residual .* exceeds certificate"):
+        svd(a)
+
+    def diverged(m, *args, **kwargs):
+        raise np.linalg.LinAlgError("no convergence")
+
+    monkeypatch.setattr(np.linalg, "svd", diverged)
+    with pytest.raises(ConvergenceError, match="SVD did not converge: no convergence"):
+        svd(a)
+
+
+def test_herm_eigen_failures_raise_convergence_error(rng, monkeypatch):
+    g = random_complex(rng, 4)
+    h = g + g.conj().T
+    real = np.linalg.eigh
+
+    def diverged(m):
+        raise np.linalg.LinAlgError("no convergence")
+
+    monkeypatch.setattr(np.linalg, "eigh", diverged)
+    with pytest.raises(ConvergenceError, match="eigendecomposition did not converge"):
+        herm_eigen(h)
+    # shifted eigenvalues miss the residual certificate, rescaled vectors
+    # the orthonormality certificate
+    for perturb in (lambda w, v: (w + 1e-6, v), lambda w, v: (w, v * (1 + 1e-6))):
+        monkeypatch.setattr(np.linalg, "eigh", lambda m: perturb(*real(m)))
+        with pytest.raises(ConvergenceError, match="exceed certificates"):
+            herm_eigen(h)
+
+
 def test_herm_eigen_residual(rng):
     g = random_complex(rng, 8)
     h = 0.5 * (g + g.conj().T)
@@ -152,6 +191,34 @@ def test_apply_herm_fn_fallback_keeps_domain_errors():
     with pytest.raises(DomainError) as info:
         apply_herm_fn(np.diag([-1.0, 1.0]).astype(complex), scalar_sqrt)
     assert info.value is err
+
+
+def test_apply_herm_fn_falls_back_on_a_wrong_shape():
+    # on the whole spectrum this returns one number, on each eigenvalue its square
+    h = np.diag([1.0, 2.0, 3.0]).astype(complex)
+    out = apply_herm_fn(h, lambda x: float(np.max(x)) ** 2)
+    assert_allclose(out, np.diag([1.0, 4.0, 9.0]), atol=1e-13)
+
+
+def test_apply_herm_fn_passes_a_vectorized_domain_error():
+    # the element-wise fallback would succeed; the vectorized error wins
+    err = DomainError("arrays not accepted")
+
+    def scalars_only(x):
+        if np.ndim(x):
+            raise err
+        return x
+
+    with pytest.raises(DomainError) as info:
+        apply_herm_fn(np.eye(2, dtype=complex), scalars_only)
+    assert info.value is err
+
+
+def test_apply_herm_fn_element_wise_failure_is_a_domain_error():
+    # math.sqrt rejects the array, then raises ValueError on -1
+    with pytest.raises(DomainError, match="function failed on spectrum: math domain error") as info:
+        apply_herm_fn(np.diag([-1.0, 1.0]).astype(complex), math.sqrt)
+    assert isinstance(info.value.__cause__, ValueError)
 
 
 def test_cartesian_decomp(rng):
