@@ -26,6 +26,10 @@ HERMITICITY_RTOL = 1e-12
 # Residual certificates allow RESIDUAL_FACTOR * n * EPS * scale.
 RESIDUAL_FACTOR = 64.0
 
+# Range of ||A|| inside which the SVD certificate's Frobenius norms need no
+# rescaling.
+_SVD_SAFE = (2.0**-500, 2.0**500)
+
 
 class NotHermitianError(ValueError):
     """Matrix is farther from self-adjoint than the hermiticity gate allows."""
@@ -86,12 +90,22 @@ def svd(a) -> SvdResult:
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"SVD did not converge: {exc}") from exc
     n = max(m.shape)
+    ss, e, floor = s, 0, 0.0
+    if not _SVD_SAFE[0] <= s[0] <= _SVD_SAFE[1]:
+        # both norms square the entries: bring ||A|| near 1 by an exact
+        # power of two so that they neither overflow nor underflow to 0
+        e = -int(np.frexp(s[0])[1])
+        parts = np.ascontiguousarray(m).view(np.float64)
+        m, ss = np.ldexp(parts, e).view(np.complex128), np.ldexp(s, e)
+        # near the subnormal range s itself is exact only to 2^-1074
+        floor = float(np.ldexp(RESIDUAL_FACTOR * n, e - 1074))
     fro = float(np.linalg.norm(m))
-    resid = float(np.linalg.norm(m - (u[:, : s.size] * s) @ vh[: s.size]))
-    if resid > RESIDUAL_FACTOR * n * EPS * fro:
+    resid = float(np.linalg.norm(m - (u[:, : s.size] * ss) @ vh[: s.size]))
+    bound = RESIDUAL_FACTOR * n * EPS * fro + floor
+    if resid > bound:
+        scaled = f" (A scaled by 2^{e})" if e else ""
         raise ConvergenceError(
-            f"SVD residual {resid:.3e} exceeds certificate "
-            f"{RESIDUAL_FACTOR * n * EPS * fro:.3e}"
+            f"SVD residual {resid:.3e} exceeds certificate {bound:.3e}{scaled}"
         )
     return SvdResult(s, u, vh.conj().T)
 

@@ -11,6 +11,15 @@ Two interchange formats:
 Writers emit 17 significant digits so that a write/read round trip
 reproduces every float bit-for-bit.  Reader errors carry 1-based line
 numbers.
+
+The Matrix Market reader parses a body of exactly ``rows*cols`` lines in
+one ``np.loadtxt`` call and keeps the result when it has one entry per line
+and every value is finite.  Otherwise (comment or blank lines inside the
+body, a wrong token count, a token ``loadtxt`` refuses, a non-finite value)
+it reads the body again one line at a time; that loop alone words the
+errors.  ``loadtxt`` rounds as ``float()`` does and refuses some tokens
+``float()`` takes (``1_0``, non-ASCII digits), which the loop then reads,
+so both paths give the same bits and the same errors.
 """
 
 from __future__ import annotations
@@ -105,10 +114,32 @@ def loads_matrix_market(text: str):
         raise MatrixFormatError(f"line {i + 1}: dimensions must be positive")
 
     want = rows * cols
-    values = np.empty(want, dtype=np.complex128)
-    got = 0
     per_line = 2 if field == "complex" else 1
-    for j in range(i + 1, len(lines)):
+    body = lines[i + 1 :]
+    values = None
+    # one loadtxt call, else the loop (module docstring).  A blank last line
+    # means too few entries and goes straight to the loop: loadtxt warns on
+    # an all-blank body
+    if len(body) == want and body[-1].strip():
+        try:
+            parsed = np.loadtxt(body, dtype=np.float64, comments=None, ndmin=2)
+            if parsed.shape == (want, per_line) and np.isfinite(parsed).all():
+                values = parsed.view(np.complex128) if per_line == 2 else parsed.astype(complex)
+        except ValueError:
+            pass
+    if values is None:
+        values = _mm_body_loop(lines, i + 1, want, per_line)
+    # column-major: consecutive entries run down each column
+    return values.reshape((cols, rows)).T.copy()
+
+
+def _mm_body_loop(lines, start: int, want: int, per_line: int) -> np.ndarray:
+    """Entries from ``lines[start:]`` one line at a time, naming any bad line."""
+    # each entry takes a line, so a size line larger than the file allocates
+    # no more than the file can fill
+    values = np.empty(min(want, len(lines) - start), dtype=np.complex128)
+    got = 0
+    for j in range(start, len(lines)):
         stripped = lines[j].strip()
         if not stripped or stripped.startswith("%"):
             continue
@@ -120,7 +151,7 @@ def loads_matrix_market(text: str):
                 f"line {j + 1}: expected {per_line} number(s), got {len(parts)}"
             )
         try:
-            if field == "complex":
+            if per_line == 2:
                 z = complex(float(parts[0]), float(parts[1]))
             else:
                 z = complex(float(parts[0]), 0.0)
@@ -134,8 +165,7 @@ def loads_matrix_market(text: str):
         raise MatrixFormatError(
             f"line {len(lines) + 1}: expected {want} entries, file ends after {got}"
         )
-    # column-major: consecutive entries run down each column
-    return values.reshape((cols, rows)).T.copy()
+    return values
 
 
 def dumps_matrix_market(a) -> str:
@@ -161,7 +191,8 @@ def loads_json_matrix(text: str):
         if key not in obj:
             raise MatrixFormatError(f"line 1: missing key {key!r}")
     rows, cols, data = obj["rows"], obj["cols"], obj["data"]
-    if not isinstance(rows, int) or not isinstance(cols, int) or rows < 1 or cols < 1:
+    # bool is an int subclass, refused here as in data
+    if any(isinstance(v, bool) or not isinstance(v, int) or v < 1 for v in (rows, cols)):
         raise MatrixFormatError("line 1: 'rows' and 'cols' must be positive integers")
     if not isinstance(data, list) or len(data) != rows * cols:
         raise MatrixFormatError(

@@ -158,6 +158,29 @@ def test_radius_malformed_file_names_line(tmp_path, capsys):
     assert "line 4" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "name,text,message",
+    [
+        (
+            "huge.mtx",
+            "%%MatrixMarket matrix array complex general\n1000000 1000000\n1 0\n",
+            "line 4: expected 1000000000000 entries, file ends after 1",
+        ),
+        (
+            "bool.json",
+            '{"rows": true, "cols": true, "data": [[1, 0]]}',
+            "line 1: 'rows' and 'cols' must be positive integers",
+        ),
+    ],
+    ids=["size-line-past-the-file", "boolean-dimensions"],
+)
+def test_radius_bad_dimensions_exit_1_without_traceback(tmp_path, capsys, name, text, message):
+    path = tmp_path / name
+    path.write_text(text)
+    assert main(["radius", "--input", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_radius_missing_file_exits_1(tmp_path, capsys):
     assert main(["radius", "--input", str(tmp_path / "nope.mtx")]) == 1
     assert "error" in capsys.readouterr().err

@@ -84,6 +84,23 @@ def test_svd_failures_raise_convergence_error(rng, monkeypatch):
         svd(a)
 
 
+@pytest.mark.parametrize("scale", [1e-200, 1e200])
+def test_svd_certificate_holds_at_extreme_scales(rng, monkeypatch, scale):
+    # squared entries underflow to 0 or overflow to inf unless the
+    # certificate rescales; either way perturbed factors would pass
+    a = scale * random_complex(rng, 4)
+    assert svd(a).singular_values[0] > 0
+    real = np.linalg.svd
+
+    def perturbed(m, *args, **kwargs):
+        u, s, vh = real(m, *args, **kwargs)
+        return u * (1 + 1e-6), s, vh
+
+    monkeypatch.setattr(np.linalg, "svd", perturbed)
+    with pytest.raises(ConvergenceError, match="SVD residual .* exceeds certificate"):
+        svd(a)
+
+
 def test_herm_eigen_failures_raise_convergence_error(rng, monkeypatch):
     g = random_complex(rng, 4)
     h = g + g.conj().T

@@ -1,7 +1,13 @@
+import io
+
 import numpy as np
 import pytest
 import scipy.io
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+import numrad.matio
 from numrad.matio import (
     MatrixFormatError,
     dumps_json_matrix,
@@ -118,6 +124,124 @@ def test_mm_non_finite_names_line(entry, real):
         loads_matrix_market(text)
 
 
+def _refuse(*args, **kwargs):
+    raise ValueError("fast path refused")
+
+
+def _outcome(text):
+    """The bits read from a Matrix Market text, or the error it raises."""
+    try:
+        return loads_matrix_market(text).tobytes()
+    except MatrixFormatError as exc:
+        return f"error: {exc}"
+
+
+def _loop_outcome(text):
+    """The same, read by the per-line loop alone."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np, "loadtxt", _refuse)
+        return _outcome(text)
+
+
+def _mm_text(a, entry):
+    """Matrix Market text for ``a``, each component written by ``entry``."""
+    rows, cols = a.shape
+    lines = ["%%MatrixMarket matrix array complex general", f"{rows} {cols}"]
+    lines += [f"{entry(z.real)} {entry(z.imag)}" for z in a.T.reshape(-1)]
+    return "\n".join(lines) + "\n"
+
+
+def _mmwrite_text(a):
+    buf = io.BytesIO()
+    scipy.io.mmwrite(buf, a, symmetry="general")
+    return buf.getvalue().decode()
+
+
+_doubles = st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    hnp.arrays(
+        np.complex128,
+        hnp.array_shapes(min_dims=2, max_dims=2, max_side=6),
+        elements=st.builds(complex, _doubles, _doubles),
+    )
+)
+def test_mm_writers_read_back_bit_identical(a):
+    texts = [
+        (dumps_matrix_market(a), a),
+        (_mm_text(a, lambda x: repr(float(x))), a),
+        (_mmwrite_text(a), a),
+        (_mmwrite_text(a.real.copy()), a.real.astype(np.complex128)),
+    ]
+    for text, want in texts:
+        back = loads_matrix_market(text)
+        assert back.dtype == np.complex128 and back.shape == want.shape
+        assert back.tobytes() == want.tobytes()
+        assert _loop_outcome(text) == back.tobytes()
+
+
+_MM_COMPLEX = "%%MatrixMarket matrix array complex general\n"
+_MM_REAL = "%%MatrixMarket matrix array real general\n"
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "text,expect",
+    [
+        (_MM_COMPLEX + "1 2\n1_0 0\n\u0661 0\n", [10.0, 1.0]),
+        (_MM_COMPLEX + "1 1\n0x1p3 0\n", "error: line 3: unparseable number"),
+        (_MM_COMPLEX + "1 1\n1e999 0\n", "error: line 3: non-finite value"),
+        (_MM_COMPLEX + "1 1\n0 nan\n", "error: line 3: non-finite value"),
+        (_MM_COMPLEX + "1 3\n+1 0\n.5 0\n5. 0\n", [1.0, 0.5, 5.0]),
+        (_MM_COMPLEX + "2 1\n1\t2\n3 \t 4\n", [1 + 2j, 3 + 4j]),
+        (_MM_COMPLEX + "2 1\n1\x0b2\n3 4\n", "error: line 3: expected 2 number(s), got 1"),
+        (_MM_REAL + "1 1\n1.5-2\n", "error: line 3: unparseable number"),
+        (_MM_COMPLEX + "2 1\n1 2 3\n4\n", "error: line 3: expected 2 number(s), got 3"),
+        (_MM_COMPLEX + "2 1\n1 0\n2 0\n\n", [1.0, 2.0]),
+        (_MM_COMPLEX + "2 1\n1 0\n\n", "error: line 5: expected 2 entries, file ends after 1"),
+        (_MM_COMPLEX + "1 1\n   \n", "error: line 4: expected 1 entries, file ends after 0"),
+        (_MM_COMPLEX + "3 1\n1 0\n\n2 0\n", "error: line 6: expected 3 entries, file ends after 2"),
+        (_MM_COMPLEX + "2 1\n1 0\n% note\n2 0\n", [1.0, 2.0]),
+        (_MM_COMPLEX + "2 1\n1 0\n%\n", "error: line 5: expected 2 entries, file ends after 1"),
+    ],
+    ids=[
+        "underscore", "hex", "overflow", "nan", "signs-and-points", "tabs",
+        "vertical-tab", "no-exponent-letter", "three-then-one", "trailing-blank",
+        "blank-last-entry", "whitespace-only", "blank-inside", "comment-inside",
+        "percent-last",
+    ],
+)
+def test_mm_adversarial_tokens_read_as_the_loop_does(text, expect):
+    got = _outcome(text)
+    assert got == _loop_outcome(text)
+    if isinstance(expect, str):
+        assert got == expect
+    else:
+        assert got == np.array(expect, dtype=np.complex128).reshape(-1, 1).tobytes()
+
+
+def test_mm_written_files_take_the_fast_path(rng, monkeypatch):
+    def loop(*args):
+        raise AssertionError("per-line loop ran")
+
+    monkeypatch.setattr(numrad.matio, "_mm_body_loop", loop)
+    a = np.ascontiguousarray(random_complex(rng, 7)[:, :5])
+    assert loads_matrix_market(dumps_matrix_market(a)).tobytes() == a.tobytes()
+    assert loads_matrix_market(_mmwrite_text(a)).tobytes() == a.tobytes()
+    assert np.array_equal(loads_matrix_market(_mmwrite_text(a.real.copy())), a.real)
+
+
+def test_mm_size_line_past_the_file_allocates_only_its_lines():
+    # 10^12 entries would need 16 TB; the file holds one
+    text = _MM_COMPLEX + "1000000 1000000\n1 0\n"
+    with pytest.raises(
+        MatrixFormatError, match="^line 4: expected 1000000000000 entries, file ends after 1$"
+    ):
+        loads_matrix_market(text)
+
+
 def test_json_reader_validation():
     with pytest.raises(MatrixFormatError, match="line 2:"):
         loads_json_matrix('{"rows": 1,\n "cols": }')
@@ -135,6 +259,15 @@ def test_json_reader_validation():
         loads_json_matrix('{"rows": 1, "cols": 1, "data": [[1, NaN]]}')
     with pytest.raises(MatrixFormatError):
         loads_json_matrix('[1, 2]')
+
+
+@pytest.mark.parametrize("rows,cols", [("true", "true"), ("1", "true"), ("false", "1")])
+def test_json_boolean_dimensions_are_refused(rows, cols):
+    text = f'{{"rows": {rows}, "cols": {cols}, "data": [[1, 0]]}}'
+    with pytest.raises(
+        MatrixFormatError, match="^line 1: 'rows' and 'cols' must be positive integers$"
+    ):
+        loads_json_matrix(text)
 
 
 def test_json_huge_integer_names_its_entry():
