@@ -50,7 +50,7 @@ def as_matrix(a) -> np.ndarray:
         raise ValueError(f"expected a 2-D matrix, got shape {m.shape}")
     if m.size == 0:
         raise ValueError("empty matrix")
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise ValueError("matrix entries must be finite")
     return m
 
@@ -89,6 +89,10 @@ def svd(a) -> SvdResult:
         u, s, vh = np.linalg.svd(m)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"SVD did not converge: {exc}") from exc
+    if not np.isfinite(s[0]):
+        # a finite A whose norm overflows: frexp(inf) would give the
+        # rescaling below exponent 0, and the certificate could not fire
+        raise DomainError("||A|| is not finite in double precision (entries overflow)")
     n = max(m.shape)
     ss, e, floor = s, 0, 0.0
     if not _SVD_SAFE[0] <= s[0] <= _SVD_SAFE[1]:

@@ -47,8 +47,10 @@ def json_encode(value, indent: int = 0) -> str:
     """JSON text with every float at 17 significant digits.
 
     The stock encoder prints shortest round-trip representations; machine
-    reports here promise a fixed digit count instead.  Lists of objects get
-    one element per line, everything else stays inline.
+    reports here promise a fixed digit count instead.  JSON has no number
+    for inf or nan, so a non-finite float is the string "inf", "-inf" or
+    "nan".  Lists of objects get one element per line, everything else
+    stays inline.
     """
     pad = " " * indent
     if isinstance(value, bool):
@@ -56,7 +58,8 @@ def json_encode(value, indent: int = 0) -> str:
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
-        return g17(value)
+        text = g17(value)
+        return text if math.isfinite(value) else f'"{text}"'
     if isinstance(value, str):
         return json.dumps(value)
     if isinstance(value, (list, tuple)):

@@ -123,7 +123,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import EPS, RESIDUAL_FACTOR, _hermitize, as_square, max_abs, operator_norm
+from .linalg import EPS, RESIDUAL_FACTOR, _hermitize, as_square, max_abs
 
 TWO_PI = 2.0 * np.pi
 
@@ -315,7 +315,7 @@ def _ascend(
             break
         c = v.conj().T @ (_envelope(m, mh, 1j * np.exp(1j * th)) @ y) / unit
         slope = c[-1].real
-        curv = 2.0 * float(np.sum(np.abs(c[:-1]) ** 2 / gaps)) - w[-1] / unit
+        curv = 2.0 * float((np.abs(c[:-1]) ** 2 / gaps).sum()) - w[-1] / unit
         if curv >= 0.0:
             break
         nxt = min(_MAX_STEP, max(-_MAX_STEP, -slope / curv))
@@ -374,13 +374,16 @@ def _lmi_upper(m: np.ndarray, r: float, target: float) -> float:
     """
     n = m.shape[0]
     eye = np.eye(n)
-    b = m.conj().T
+    ri = r * eye
+    mh = m.conj().T
+    b = mh
     x = 2.0 * r * eye
     y = x
     stop = math.sqrt(0.1 * target * 2.0 * r)
     for _ in range(_LMI_STEPS):
-        # also ends on a non-finite B_k
-        if not np.linalg.norm(b) > stop:
+        # ||B_k||_F as np.linalg.norm forms it; also ends on a non-finite B_k
+        v = b.ravel(order="K")
+        if not math.sqrt(v.real.dot(v.real) + v.imag.dot(v.imag)) > stop:
             break
         bh = b.conj().T
         try:
@@ -390,12 +393,18 @@ def _lmi_upper(m: np.ndarray, r: float, target: float) -> float:
         yb, ybh = sol[:, :n], sol[:, n:]
         bhyb = bh @ yb
         x_next = x - bhyb
-        if not np.all(np.isfinite(x_next)):
+        if not np.isfinite(x_next).all():
             break
         x, y, b = x_next, y - b @ ybh - bhyb, b @ yb
 
-    z = _hermitize(r * eye - x)
-    mm = np.block([[r * eye + z, m], [m.conj().T, r * eye - z]])
+    # M~ = [[r I + Z, A], [A*, r I - Z]] assembled in place: Z is exactly
+    # Hermitian and the off-diagonal blocks are copies, so M~ is too
+    z = _hermitize(ri - x)
+    mm = np.empty((2 * n, 2 * n), dtype=np.complex128)
+    np.add(ri, z, out=mm[:n, :n])
+    mm[:n, n:] = m
+    mm[n:, :n] = mh
+    np.subtract(ri, z, out=mm[n:, n:])
     try:
         lam = float(np.linalg.eigvalsh(mm)[0])
     except np.linalg.LinAlgError:
@@ -436,7 +445,7 @@ def numerical_radius(a, cfg: RadiusConfig | None = None) -> RadiusEstimate:
     f = 2.0 ** (e // 2)
     m = np.ldexp(parts, -e).view(np.complex128)
     mh = m.conj().T
-    norm = operator_norm(m)
+    norm = float(np.linalg.svd(m, compute_uv=False)[0])
     target = cfg.resolve_target(norm, f)
     stop = 0.01 * target
     slack = RESIDUAL_FACTOR * n * EPS * norm
@@ -448,9 +457,9 @@ def numerical_radius(a, cfg: RadiusConfig | None = None) -> RadiusEstimate:
         gl = _envelope_gvals(m, mh, lefts)
     else:
         gl = _envelope_gvals(m, mh, lefts[: nn // 2], antipodal=True)
-    gr = np.roll(gl, -1)
+    gr = np.concatenate((gl[1:], gl[:1]))
 
-    k = int(np.argmax(gl))
+    k = int(gl.argmax())
     theta = float(lefts[k])
     lower, x, theta, iters = _ascend(m, mh, theta, float(gl[k]), None, theta, stop)
 
@@ -477,7 +486,7 @@ def numerical_radius(a, cfg: RadiusConfig | None = None) -> RadiusEstimate:
         lefts, gl, gr = lefts[keep], gl[keep], gr[keep]
         mids = lefts + h / 2.0
         gm = _envelope_gvals(m, mh, mids)
-        j = int(np.argmax(gm))
+        j = int(gm.argmax())
         # a midpoint within stop of lower would only repeat the ascent that
         # found lower
         if float(gm[j]) > lower + stop:
@@ -485,8 +494,10 @@ def numerical_radius(a, cfg: RadiusConfig | None = None) -> RadiusEstimate:
             iters += it
         # each midpoint lies inside its own interval, so interleaving keeps
         # the angles sorted
-        lefts = np.column_stack([lefts, mids]).ravel()
-        gl, gr = np.column_stack([gl, gm]).ravel(), np.column_stack([gm, gr]).ravel()
+        nodes = np.empty((3, lefts.size, 2))
+        nodes[:, :, 0] = lefts, gl, gm
+        nodes[:, :, 1] = mids, gm, gr
+        lefts, gl, gr = nodes.reshape(3, -1)
         h /= 2.0
         nn *= 2
 

@@ -483,6 +483,47 @@ def test_overflow_exits_1_without_traceback(tmp_path, capsys):
         assert err == "error: f(w(A)) is not finite in double precision (entries overflow)\n"
 
 
+@pytest.fixture
+def huge_json(tmp_path):
+    # every entry of 1e308 ones((2, 2)) is finite; ||A|| = w(A) = 2e308 is not
+    path = tmp_path / "huge.json"
+    save_matrix(1e308 * np.ones((2, 2)), str(path))
+    return str(path)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_norm_that_overflows_exits_1(huge_json, capsys):
+    # LAPACK returns ||A|| = inf; svd refuses it before its certificate,
+    # which could not fire on it, so no chain reports an infinite term
+    for bid in ("B0", "KIT", "FUNC"):
+        argv = ["bounds", "--input", huge_json, "--bounds", bid, "--output", "json"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: ||A|| is not finite in double precision (entries overflow)\n"
+        )
+
+
+def _strict_json(text):
+    def refuse(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_json_reports_with_non_finite_values_parse(huge_json, capsys):
+    # the enclosure of 1e308 ones((2, 2)) is [DBL_MAX, inf], and LEM1-'s
+    # tolerance scales with it: both reports stay JSON
+    assert main(["radius", "--input", huge_json, "--output", "json"]) == 0
+    report = _strict_json(capsys.readouterr().out)
+    assert report["lower"] == sys.float_info.max
+    assert (report["upper"], report["width"]) == ("inf", "inf")
+    assert main(["bounds", "--input", huge_json, "--bounds", "LEM1-", "--output", "json"]) == 0
+    (row,) = _strict_json(capsys.readouterr().out)["bounds"]
+    assert (row["lhs"], row["tolerance_used"], row["violated"]) == (0, "inf", False)
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize(
     "argv",

@@ -317,3 +317,16 @@ def test_json_encode_formats():
     assert obj["n"] == 3
     with pytest.raises(TypeError):
         json_encode({"bad": object()})
+
+
+def test_json_encode_writes_non_finite_floats_as_strings():
+    # JSON has no number for them; strict parsers refuse bare inf and nan
+    values = [float("inf"), -float("inf"), float("nan"), np.float64("inf"), 1.5]
+    text = json_encode({"v": values})
+    assert '"v": ["inf", "-inf", "nan", "inf", 1.5]' in text
+    import json as j
+
+    def refuse(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    assert j.loads(text, parse_constant=refuse)["v"][:3] == ["inf", "-inf", "nan"]

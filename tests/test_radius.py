@@ -851,3 +851,91 @@ def test_flat_trigger_fires_on_disk_ranges_only(rng, monkeypatch):
                     grid = _grid_only(monkeypatch, a)
                     assert max(got.lower, grid.lower) <= min(got.upper, grid.upper), case
     assert coarse_generic > 0
+
+
+def test_lmi_matrix_is_exactly_hermitian(monkeypatch):
+    # the Weyl argument of the module docstring needs the stored M~ to be
+    # exactly Hermitian, with diagonal blocks r I +- Z and off-diagonal
+    # blocks A and A* bit for bit: capture what _lmi_upper hands to eigvalsh
+    # and the Z it symmetrized
+    seen = {}
+    eigvalsh, hermitize = np.linalg.eigvalsh, numrad.radius._hermitize
+
+    def capture_m(mm):
+        seen["m"] = mm.copy()
+        return eigvalsh(mm)
+
+    def capture_z(d):
+        seen["z"] = hermitize(d)
+        return seen["z"]
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", capture_m)
+    monkeypatch.setattr(numrad.radius, "_hermitize", capture_z)
+    for family in FAMILIES:
+        for n in (1, 2, 5, 9):
+            a, _ = _normalized(generate(EnsembleSpec(family, n, 1, seed=3), 0))
+            for r in (0.5, 1.0, 2.0):
+                seen.clear()
+                _lmi_upper(a, r, 1e-9)
+                mm, z = seen["m"], seen["z"]
+                case = (family, n, r)
+                assert mm.shape == (2 * n, 2 * n), case
+                assert np.array_equal(mm, mm.conj().T), case
+                assert np.array_equal(z, z.conj().T), case
+                assert np.array_equal(mm[:n, :n], r * np.eye(n) + z), case
+                assert np.array_equal(mm[n:, n:], r * np.eye(n) - z), case
+                assert np.array_equal(mm[:n, n:], a), case
+                assert np.array_equal(mm[n:, :n], a.conj().T), case
+
+
+def _kernel_calls(monkeypatch, a):
+    """numerical_radius(a) with the numpy.linalg calls it makes counted."""
+    calls = {"eigvalsh": 0, "eigh": 0, "svd": 0, "solve": 0}
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return counted
+
+    with monkeypatch.context() as patch:
+        for name in calls:
+            patch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
+        est = numerical_radius(a)
+    return est, calls
+
+
+def test_disk_path_call_budget(rng, monkeypatch):
+    # a disk-shaped range costs one SVD (||A||), one sweep batch, one ascent
+    # eigh and one LMI eigensolve, whose cyclic reduction takes 1-4 solves
+    # for n = 2..13; a change that adds kernel calls back fails here
+    shift = np.diag(rng.uniform(0.5, 2.0, 7) * np.exp(1j * rng.uniform(0.0, TWO_PI, 7)), 1)
+    nilpotent = np.array([[0.0, 0.7 - 0.2j], [0.0, 0.0]])
+    for a in (2.0 * shift_matrix(5), shift, nilpotent):
+        est, calls = _kernel_calls(monkeypatch, a)
+        assert est.grid_points == RadiusConfig().grid_points
+        assert (calls["eigvalsh"], calls["eigh"], calls["svd"]) == (2, 1, 1), calls
+        assert 1 <= calls["solve"] <= 4, calls
+
+
+def test_kite_decides_before_the_flat_trigger(monkeypatch):
+    # W(diag of the 8th roots of unity) is the regular octagon: every
+    # interval of the 16-point sweep has an end at a corner, where g = 1, so
+    # the flat trigger would fire on all 16 intervals.  The kites at the
+    # corners are exact, so the sweep already meets the width and the LMI is
+    # never tried: upper comes from the kite, 1.2e-13 above 1
+    calls = []
+    monkeypatch.setattr(
+        numrad.radius, "_lmi_upper", lambda m, r, target: calls.append(r) or math.inf
+    )
+    a = np.diag(np.exp(-2j * np.pi * np.arange(8) / 8))
+    est = numerical_radius(a)
+    nn = RadiusConfig().grid_points
+    assert calls == []
+    assert est.grid_points == nn
+    assert est.lower <= 1.0 <= est.upper <= 1.0 + 1e-12
+    lefts = np.arange(nn) * (TWO_PI / nn)
+    gl = _envelope_gvals(a, a.conj().T, lefts[: nn // 2], antipodal=True)
+    gr = np.concatenate((gl[1:], gl[:1]))
+    assert np.count_nonzero(np.maximum(gl, gr) > numrad.radius._FLAT * est.lower) == nn
