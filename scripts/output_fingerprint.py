@@ -69,7 +69,7 @@ from numrad.radius import RadiusConfig  # noqa: E402
 STUDY_IDS = (cli.STUDY_DEFAULT_BOUNDS, ("COR:3", "FUNC:3"))
 STUDY_DIMS = (2, 5, 13)
 SUBSET_IDS = "B0,T3-PRINTED,COR:3,FUNC"
-CONTEXT_CFG = RadiusConfig(grid_points=16, target_width=1e-6)
+CONTEXT_CFG = RadiusConfig(target_width=1e-6)
 CONTEXT_IDS = [e.bound_id for e in bounds.catalog_list() if e.arity == 1] + ["COR:3", "FUNC:3"]
 # (family, dim, count, seed) of the `numrad study` runs
 STUDY_CLI_RUNS = (

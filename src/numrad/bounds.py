@@ -267,13 +267,14 @@ class MatrixContext:
     def gram_norm(self) -> float:
         return operator_norm(self.gram_sum)
 
+    # ||A +- A*|| / 2 as ||A/2 +- A*/2||, finite even where A +- A* overflows
     @cached_property
-    def norm_plus(self) -> float:
-        return operator_norm(self.a + self.ah)
+    def half_norm_plus(self) -> float:
+        return _finite("||A + A*|| / 2", lambda: operator_norm(0.5 * self.a + 0.5 * self.ah))
 
     @cached_property
-    def norm_minus(self) -> float:
-        return operator_norm(self.a - self.ah)
+    def half_norm_minus(self) -> float:
+        return _finite("||A - A*|| / 2", lambda: operator_norm(0.5 * self.a - 0.5 * self.ah))
 
     @cached_property
     def cartesian(self) -> tuple[np.ndarray, np.ndarray]:
@@ -285,10 +286,13 @@ class MatrixContext:
 
     @cached_property
     def quad_product(self) -> np.ndarray:
-        """(A* - A)^2 (A* + A)^2."""
-        d = self.ah - self.a
-        s = self.ah + self.a
-        return _finite("(A* - A)^2 (A* + A)^2", lambda: d @ d @ s @ s)
+        """(A* - A)^2 (A* + A)^2, the factors formed inside the gate too."""
+
+        def product():
+            d, s = self.ah - self.a, self.ah + self.a
+            return d @ d @ s @ s
+
+        return _finite("(A* - A)^2 (A* + A)^2", product)
 
     @cached_property
     def omega_quad(self) -> RadiusEstimate:
@@ -340,7 +344,7 @@ def eval_bound_lem1(a, sign: int) -> BoundReport:
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     c = _ctx(a)
-    lhs = 0.5 * (c.norm_plus if sign == 1 else c.norm_minus)
+    lhs = c.half_norm_plus if sign == 1 else c.half_norm_minus
     return _bound("LEM1+" if sign == 1 else "LEM1-", lambda w: (lhs, w), c.omega)
 
 
@@ -348,8 +352,9 @@ def eval_chain_t1(a) -> ChainReport:
     """|| |A|^2+|A*|^2 ||/4 <= (||A+A*||^2 + ||A-A*||^2)/8 <= w(A)^2."""
     c = _ctx(a)
     gram = c.gram_norm  # first, so an overflowing A*A + AA* is named before the middle term
-    squares = lambda: np.float64(c.norm_plus) ** 2 + np.float64(c.norm_minus) ** 2
-    mid = float(_finite("||A+A*||^2 + ||A-A*||^2", squares)) / 8.0
+    # (p^2 + m^2) / 2 for the half-norms p, m: at most gram / 2 up to rounding
+    squares = lambda: (np.float64(c.half_norm_plus) ** 2 + np.float64(c.half_norm_minus) ** 2) / 2
+    mid = float(_finite("(||A+A*||^2 + ||A-A*||^2)/8", squares))
     return _chain("T1", lambda w: (0.25 * gram, mid, w ** 2), c.omega)
 
 

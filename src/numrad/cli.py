@@ -63,9 +63,6 @@ def _add_matrix_flags(sp) -> None:
 
 
 def _add_radius_flags(sp) -> None:
-    sp.add_argument(
-        "--grid", type=int, default=RadiusConfig.grid_points, help="initial sweep size"
-    )
     sp.add_argument("--width", type=float, default=None, help="enclosure width target")
 
 
@@ -137,7 +134,7 @@ def _load_square(args):
 
 
 def _radius_cfg(args) -> RadiusConfig:
-    return RadiusConfig(grid_points=args.grid, target_width=args.width)
+    return RadiusConfig(target_width=args.width)
 
 
 def _estimate_text(est, output: str) -> str:
@@ -198,6 +195,12 @@ def _row_status(violated: bool, slack: float, rhs: float) -> str:
     return "OK"
 
 
+def _exit_code(violated_tokens, r: float) -> int:
+    """EXIT_VIOLATION when a violated id token names a non-diagnostic entry."""
+    bad = any(not catalog.resolve_bound_id(t, r)[0].diagnostic for t in violated_tokens)
+    return EXIT_VIOLATION if bad else EXIT_OK
+
+
 def cmd_bounds(args) -> int:
     m = _load_square(args)
     cfg = _radius_cfg(args)
@@ -229,11 +232,7 @@ def cmd_bounds(args) -> int:
         text = matio.json_encode({"bounds": details, "skipped": skipped}) + "\n"
     _emit(text, args.out)
 
-    bad = any(
-        violated and not catalog.resolve_bound_id(token, args.r)[0].diagnostic
-        for token, _, _, _, violated in rows
-    )
-    return EXIT_VIOLATION if bad else EXIT_OK
+    return _exit_code([token for token, *_, violated in rows if violated], args.r)
 
 
 def cmd_study(args) -> int:
@@ -264,11 +263,7 @@ def cmd_study(args) -> int:
         text = ensembles.to_json(report)
     _emit(text, args.out)
 
-    bad = any(
-        not catalog.resolve_bound_id(row.bound_id, args.r)[0].diagnostic
-        for row in report.violations
-    )
-    return EXIT_VIOLATION if bad else EXIT_OK
+    return _exit_code([row.bound_id for row in report.violations], args.r)
 
 
 def cmd_catalog(args) -> int:

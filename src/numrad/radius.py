@@ -27,10 +27,10 @@ function here computes a scale of its own.
 
 Every envelope eigenvalue g(theta) is a valid lower bound.  The upper
 certificate uses the support lines Re(e^{i theta_k} z) <= g(theta_k) that every
-numerical-range point z obeys at the grid angles (spacing h = 2 pi / N <=
-pi / 4).  With s = -arg z - theta_k in [0, h], the lines at both ends of its
-interval give |z| <= min(a / cos s, b / cos(h - s)) for any a >= g(theta_k),
-b >= g(theta_{k+1}).  The first term grows with s and the second falls, so
+numerical-range point z obeys at the grid angles (spacing h = 2 pi / N, N = 16
+at the sweep).  With s = -arg z - theta_k in [0, h], the lines at both ends of
+its interval give |z| <= min(a / cos s, b / cos(h - s)) for any
+a >= g(theta_k), b >= g(theta_{k+1}).  The first term grows with s and the second falls, so
 this kite's far point is where the lines meet, a vertex of Johnson's outer
 polygon (SIAM J. Numer. Anal. 15, 1978), at the distance
 
@@ -46,7 +46,7 @@ secant bound max(a, b) / cos(h/2) (some grid angle is within h/2 of -arg z)
 and is exact when both lines touch W(A) at one corner, as at the extreme
 eigenvalue of a normal matrix once both angles lie in its normal cone.  Nor
 is a Lipschitz fallback max_k g + ||A|| h / 2 needed (g is ||A||-Lipschitz):
-for 0 <= g <= ||A||, g (sec(h/2) - 1) <= ||A|| h / 2 at every allowed h.
+for 0 <= g <= ||A||, g (sec(h/2) - 1) <= ||A|| h / 2 at every h <= pi / 8.
 
 Rounding, with u = eps / 2 (+, -, *, /, sqrt exact to u; sin, cos, hypot to
 2u): a and b lose u, the clip 4u; the clipped values are within a factor 2, so
@@ -62,7 +62,7 @@ Grid refinement doubles the conceptual grid until the enclosure meets the
 requested width, but only re-evaluates intervals whose kite bound still
 exceeds the best certified lower bound; discarded intervals provably cannot
 contain the maximizer, so the enclosure stays sound.  Since H(theta + pi) =
--H(theta), each eigensolve of an even sweep gives two grid values, g(theta) =
+-H(theta), each eigensolve of the sweep gives two grid values, g(theta) =
 lambda_max(H(theta)) and g(theta + pi) = -lambda_min(H(theta)), so the sweep
 solves only its first half of the angles.  From the sweep peak a safeguarded
 Newton ascent on g (one eigh per step, g' and g'' from eigenvalue
@@ -74,13 +74,11 @@ When the numerical range is a disk centred at 0 (the Jordan block, weighted
 shifts, every 2x2 nilpotent matrix) the envelope is constant, nothing is
 pruned, and the grid would have to double to 65536-131072 points.  Such
 inputs are recognised after the sweep: if on at least half of its intervals
-the envelope stays within the fixed factor cos(pi / 64) of lower, whatever
-the sweep size, a grid-free certificate is tried once, at the trial radius
-r = lower + target / 2.  At the default 16 points this fires on disk-shaped
-ranges and on no generic draw of the tests' sample; at 8 points it also
-fires on a few real Gaussian draws, where a missed width only costs the
-try.  By Ando's
-theorem (Acta Sci. Math. 34, 1973), w(A) <= r iff some Hermitian Z makes
+the envelope stays within the fixed factor cos(pi / 64) of lower, a
+grid-free certificate is tried once, at the trial radius r = lower + target / 2.
+On the 16-point sweep this fires on disk-shaped ranges and on no generic draw
+of the tests' sample.  By Ando's theorem (Acta Sci. Math. 34, 1973),
+w(A) <= r iff some Hermitian Z makes
 
     M(Z) = [[r I + Z, A], [A*, r I - Z]]
 
@@ -120,6 +118,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -151,9 +150,8 @@ _LMI_STEPS = 50
 
 # The envelope counts as flat when, on at least half of the sweep's
 # intervals, the larger endpoint value is within this factor of the lower
-# bound.  A constant envelope meets it to rounding at any sweep size, so it
-# is a fixed threshold, not tied to the sweep's spacing: a generic envelope
-# that meets it on half the circle varies by under 0.12% there, and a wrong
+# bound.  A constant envelope meets it to rounding; a generic envelope that
+# meets it on half the circle varies by under 0.12% there, and a wrong
 # trigger costs one LMI try, never soundness.
 _FLAT = math.cos(math.pi / 64)
 
@@ -175,16 +173,16 @@ class RadiusConfig:
     """Knobs for the enclosure engine.
 
     ``target_width`` is an absolute enclosure width; when ``None`` the width
-    resolves to ``target_width_rel * max(1, ||A||)``.
+    resolves to ``target_width_rel * max(1, ||A||)``.  ``grid_points`` is the
+    first sweep's size, a constant rather than a knob: 16 points measured the
+    fastest first sweep.
     """
 
-    grid_points: int = 16
+    grid_points: ClassVar[int] = 16
     target_width: float | None = None
     target_width_rel: float = 1e-9
 
     def __post_init__(self):
-        if self.grid_points < 8:
-            raise ValueError("grid_points must be at least 8")
         if self.target_width is not None and not self.target_width > 0:
             raise ValueError("target_width must be positive")
         if not self.target_width_rel > 0:
@@ -422,8 +420,8 @@ def _scale_back(v: float, f: float, toward: float) -> float:
 
 
 def numerical_radius(a, cfg: RadiusConfig | None = None) -> RadiusEstimate:
-    """Certified enclosure of w(A): sweep (half the angles on an even grid,
-    each eigensolve giving g at theta and theta + pi), Newton ascent from the
+    """Certified enclosure of w(A): sweep (half the grid's angles, each
+    eigensolve giving g at theta and theta + pi), Newton ascent from the
     sweep peak, one try of the LMI certificate when the envelope is flat,
     then grid doubling (with interval pruning) until upper - lower <= target
     width; a refinement midpoint more than 0.01 target above lower starts a
@@ -450,13 +448,10 @@ def numerical_radius(a, cfg: RadiusConfig | None = None) -> RadiusEstimate:
     stop = 0.01 * target
     slack = RESIDUAL_FACTOR * n * EPS * norm
 
-    nn = cfg.grid_points
+    nn = RadiusConfig.grid_points
     h = TWO_PI / nn
     lefts = np.arange(nn) * h
-    if nn % 2:
-        gl = _envelope_gvals(m, mh, lefts)
-    else:
-        gl = _envelope_gvals(m, mh, lefts[: nn // 2], antipodal=True)
+    gl = _envelope_gvals(m, mh, lefts[: nn // 2], antipodal=True)
     gr = np.concatenate((gl[1:], gl[:1]))
 
     k = int(gl.argmax())
@@ -472,7 +467,7 @@ def numerical_radius(a, cfg: RadiusConfig | None = None) -> RadiusEstimate:
             break
         # refining a flat envelope would prune nothing: try the grid-free
         # certificate once instead
-        flat = nn == cfg.grid_points and 2 * np.count_nonzero(
+        flat = nn == RadiusConfig.grid_points and 2 * np.count_nonzero(
             np.maximum(gl, gr) > _FLAT * lower
         ) >= nn
         if flat:

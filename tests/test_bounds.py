@@ -525,19 +525,22 @@ def test_contexts_never_share_a_functional_chain(rng, monkeypatch):
 
 
 def test_failed_functional_chain_is_not_memoized(monkeypatch):
-    # w^20 at the upper end of a loose 8-point enclosure overflows while
-    # |A|^20 does not: FUNC raises after its g^{-1}, nothing is kept, and
-    # COR:20 (whose literal middle is finite) evaluates the chain again
-    c = 4e307 ** (1 / 20)
+    # w^80 at the upper end of a loose enclosure overflows while |A|^80
+    # does not: the eigenvalues c and c e^{i pi/8} sit on adjacent angles of
+    # the 16-point sweep, whose support lines there meet at c / cos(pi/16),
+    # and (1 / cos(pi/16))^80 > 4.  FUNC raises after its g^{-1}, nothing is
+    # kept, and COR:80 (whose literal middle is finite) evaluates the chain
+    # again
+    c = 4e307 ** (1 / 80)
     ctx = MatrixContext(
-        np.diag([c, c * np.exp(1j * np.pi / 4)]), RadiusConfig(grid_points=8, target_width=1e300)
+        np.diag([c, c * np.exp(1j * np.pi / 8)]), RadiusConfig(target_width=1e300)
     )
     calls = _count_herm_fn(monkeypatch)
     with pytest.raises(DomainError) as func_err:
-        evaluate("FUNC:20", ctx)
+        evaluate("FUNC:80", ctx)
     assert len(calls) == 1
     with pytest.raises(DomainError) as cor_err:
-        evaluate("COR:20", ctx)
+        evaluate("COR:80", ctx)
     assert len(calls) == 3
     assert str(cor_err.value) == str(func_err.value) == (
         "f(w(A)) is not finite in double precision (entries overflow)"
@@ -555,7 +558,7 @@ def test_context_rejects_a_different_cfg(rng):
     # the functions that take a cfg take a raw matrix, never a context
     for fn in (nb.cartesian_radius_pair, numrad.ensembles.tightness_compare, MatrixContext):
         with pytest.raises(TypeError, match="own cfg"):
-            fn(ctx, RadiusConfig(grid_points=16))
+            fn(ctx, RadiusConfig())
     for fn in (
         eval_chain_b0, eval_bound_kit, eval_chain_sq, eval_bound_lem1, eval_chain_t1,
         eval_chain_t2, eval_bound_t3, eval_bound_t3_printed, eval_functional_chain, eval_chain_cor,
@@ -572,7 +575,7 @@ def test_context_rejects_a_different_cfg(rng):
 def test_tolerance_absorbs_enclosure_width(rng):
     # a deliberately loose radius cannot flag a sound bound as violated
     a = random_complex(rng, 4)
-    loose = RadiusConfig(grid_points=16, target_width_rel=0.2)
+    loose = RadiusConfig(target_width_rel=0.2)
     ctx = MatrixContext(a, loose)
     for bid in ("B0", "SQ", "LEM1+", "LEM1-", "T1"):
         rep = evaluate(bid, ctx)

@@ -73,7 +73,7 @@ def test_radius_json(jordan_mtx, capsys):
 
 
 def test_radius_default_grid_is_config_default(jordan_mtx, capsys):
-    # without --grid the CLI runs exactly the library's default enclosure
+    # without --width the CLI runs exactly the library's default enclosure
     assert main(["radius", "--input", jordan_mtx, "--output", "json"]) == 0
     obj = json.loads(capsys.readouterr().out)
     est = numerical_radius(J, RadiusConfig())
@@ -83,10 +83,6 @@ def test_radius_default_grid_is_config_default(jordan_mtx, capsys):
         "refinement_iters": est.refinement_iters,
     }
     assert obj == want
-    parser = numrad.cli.build_parser()
-    assert parser.parse_args(["radius", "--input", jordan_mtx]).grid == RadiusConfig().grid_points
-    study = parser.parse_args(["study", "--family", "gue", "--dim", "2", "--count", "1"])
-    assert study.grid == RadiusConfig().grid_points
 
 
 def test_radius_identity(eye3_json, capsys):
@@ -127,16 +123,28 @@ def test_radius_csv(jordan_mtx, capsys):
 
 
 def test_radius_flags(jordan_mtx, capsys):
-    assert main(["radius", "--input", jordan_mtx, "--grid", "256", "--width", "1e-6"]) == 0
+    assert main(["radius", "--input", jordan_mtx, "--width", "1e-6"]) == 0
     assert "0.5" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize(
     "argv",
-    [["radius", "--samples", "5"], ["radius", "--seed", "5"], ["bounds", "--seed", "5"]],
+    [
+        ["radius", "--samples", "5"],
+        ["radius", "--seed", "5"],
+        ["bounds", "--seed", "5"],
+        ["radius", "--grid", "16"],
+        ["bounds", "--grid", "16"],
+        ["study", "--grid", "16"],
+    ],
 )
 def test_removed_oracle_flags_are_usage_errors(jordan_mtx, capsys, argv):
-    assert main([argv[0], "--input", jordan_mtx, *argv[1:]]) == 1
+    # the oracle's --samples/--seed and the sweep size's --grid are gone
+    if argv[0] == "study":
+        source = ["--family", "gue", "--dim", "2", "--count", "1"]
+    else:
+        source = ["--input", jordan_mtx]
+    assert main([argv[0], *source, *argv[1:]]) == 1
     err = capsys.readouterr().err
     assert err.startswith("usage: numrad")
     assert f"unrecognized arguments: {' '.join(argv[1:])}" in err
@@ -331,9 +339,9 @@ def test_study_csv_deterministic(capsys):
 
 def test_study_radius_flags_reach_the_config(capsys):
     argv = ["study", "--family", "ginibre", "--dim", "3", "--count", "2", "--seed", "5",
-            "--grid", "16", "--width", "1e-6"]
+            "--width", "1e-6"]
     spec = EnsembleSpec("ginibre", 3, 2, 5)
-    cfg = RadiusConfig(grid_points=16, target_width=1e-6)
+    cfg = RadiusConfig(target_width=1e-6)
     want = to_csv(run_study(spec, STUDY_DEFAULT_BOUNDS, cfg))
     # the flags change the output, so matching it shows they were applied
     assert want != to_csv(run_study(spec, STUDY_DEFAULT_BOUNDS))
@@ -456,8 +464,6 @@ def test_overflow_exits_1_without_traceback(tmp_path, capsys):
     cases = (
         # A*A + AA*: the error names that product, not the user's matrix
         (generate(EnsembleSpec("ginibre", 3, 1, seed=0), 0) * 1e300, ("SQ", "T3", "T1"), "A*A + AA*"),
-        # A*A + AA* is finite, T1's middle term is not
-        (3.87e153 * np.ones((2, 2)), ("T1",), "||A+A*||^2 + ||A-A*||^2"),
         # every product T2 gates is finite, 2 w(A)^4 is not
         (1e100 * np.eye(2), ("T2",), "2 w(A)^4 + w((A*-A)^2 (A*+A)^2)/8"),
     )
@@ -468,15 +474,16 @@ def test_overflow_exits_1_without_traceback(tmp_path, capsys):
             assert main(["bounds", "--input", str(path), "--bounds", bid]) == 1
             err = capsys.readouterr().err
             assert err == f"error: {product} is not finite in double precision (entries overflow)\n"
-    # f(w) = w^20 at the upper end of a loose enclosure passes the double
-    # range while |A|^20 does not: the eigenvalues c and c e^{i pi/4} sit on
-    # adjacent angles of an 8-point sweep, whose support lines there meet at
-    # c / cos(pi/8), the upper end.  COR names it too, as it evaluates FUNC's
-    # chain first, whose left-hand term is COR's w(A)^r
+    # f(w) = w^80 at the upper end of a loose enclosure passes the double
+    # range while |A|^80 does not: the eigenvalues c and c e^{i pi/8} sit on
+    # adjacent angles of the 16-point sweep, whose support lines there meet
+    # at c / cos(pi/16), the upper end, and (1 / cos(pi/16))^80 > 4.  COR
+    # names it too, as it evaluates FUNC's chain first, whose left-hand term
+    # is COR's w(A)^r
     path = tmp_path / "power.json"
-    c = 4e307 ** (1 / 20)
-    save_matrix(np.diag([c, c * np.exp(1j * np.pi / 4)]), str(path))
-    argv = ["--r", "20", "--grid", "8", "--width", "1e300"]
+    c = 4e307 ** (1 / 80)
+    save_matrix(np.diag([c, c * np.exp(1j * np.pi / 8)]), str(path))
+    argv = ["--r", "80", "--width", "1e300"]
     for bid in ("FUNC", "COR"):
         assert main(["bounds", "--input", str(path), "--bounds", bid, *argv]) == 1
         err = capsys.readouterr().err
@@ -503,6 +510,35 @@ def test_norm_that_overflows_exits_1(huge_json, capsys):
         assert captured.err == (
             "error: ||A|| is not finite in double precision (entries overflow)\n"
         )
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_hermitian_parts_are_halved_inside_the_overflow_gate(tmp_path, huge_json, capsys):
+    # ||A +- A*|| / 2 is ||A/2 +- A*/2||, and (A* +- A) is formed inside the
+    # gate of the product that reads it: no numpy overflow leaks out first
+    skew = tmp_path / "skew.json"
+    save_matrix(1e308 * np.array([[0.0, 1.0], [-1.0, 0.0]]), str(skew))
+    # on 1e308 ones((2, 2)) the half-norm itself, 2e308, is past the range
+    assert main(["bounds", "--input", huge_json, "--bounds", "LEM1+"]) == 1
+    assert capsys.readouterr().err == (
+        "error: ||A + A*|| / 2 is not finite in double precision (entries overflow)\n"
+    )
+    # on the skew matrix A - A* overflows but ||A - A*|| / 2 = w(A) = 1e308
+    assert main(["bounds", "--input", str(skew), "--bounds", "LEM1-", "--output", "csv"]) == 0
+    row = capsys.readouterr().out.splitlines()[1].split(",")
+    assert float(row[1]) == 1e308
+    for path in (huge_json, str(skew)):
+        assert main(["bounds", "--input", path, "--bounds", "T2"]) == 1
+        assert capsys.readouterr().err == (
+            "error: (A* - A)^2 (A* + A)^2 is not finite in double precision (entries overflow)\n"
+        )
+    # ||A + A*||^2 overflows on 3.87e153 ones((2, 2)), but T1's middle term,
+    # (||A+A*||^2 + ||A-A*||^2)/8 = 2.995e307, does not
+    path = tmp_path / "t1.json"
+    save_matrix(3.87e153 * np.ones((2, 2)), str(path))
+    assert main(["bounds", "--input", str(path), "--bounds", "T1", "--output", "json"]) == 0
+    terms = json.loads(capsys.readouterr().out)["bounds"][0]["terms"]
+    assert terms[1] == pytest.approx(0.5 * (2 * 3.87e153) ** 2, rel=1e-14)
 
 
 def _strict_json(text):
