@@ -40,6 +40,7 @@ from .linalg import (
     herm_eigen,
     operator_norm,
     svd,
+    _OVERFLOWS,
     _apply_to_values,
     _hermitize,
 )
@@ -208,7 +209,7 @@ def _finite(name: str, compute: Callable):
     with np.errstate(over="ignore", invalid="ignore"):
         value = compute()
     if not np.all(np.isfinite(value)):
-        raise DomainError(f"{name} is not finite in double precision (entries overflow)")
+        raise DomainError(f"{name} {_OVERFLOWS}")
     return value
 
 
@@ -265,16 +266,16 @@ class MatrixContext:
 
     @cached_property
     def gram_norm(self) -> float:
-        return operator_norm(self.gram_sum)
+        return operator_norm(self.gram_sum, "||A*A + AA*||")
 
     # ||A +- A*|| / 2 as ||A/2 +- A*/2||, finite even where A +- A* overflows
     @cached_property
     def half_norm_plus(self) -> float:
-        return _finite("||A + A*|| / 2", lambda: operator_norm(0.5 * self.a + 0.5 * self.ah))
+        return operator_norm(0.5 * self.a + 0.5 * self.ah, "||A + A*|| / 2")
 
     @cached_property
     def half_norm_minus(self) -> float:
-        return _finite("||A - A*|| / 2", lambda: operator_norm(0.5 * self.a - 0.5 * self.ah))
+        return operator_norm(0.5 * self.a - 0.5 * self.ah, "||A - A*|| / 2")
 
     @cached_property
     def cartesian(self) -> tuple[np.ndarray, np.ndarray]:
@@ -329,7 +330,9 @@ def eval_chain_b0(a) -> ChainReport:
 def eval_bound_kit(a) -> BoundReport:
     """w(A) <= || |A| + |A*| || / 2."""
     c = _ctx(a)
-    rhs = 0.5 * operator_norm(np.add(*c.abs_pair))
+    # halved first, as half_norm_plus is: the sum cannot overflow, and
+    # operator_norm names the norm if it does
+    rhs = operator_norm(0.5 * c.abs_pair[0] + 0.5 * c.abs_pair[1], "|| |A| + |A*| || / 2")
     return _bound("KIT", lambda w: (w, rhs), c.omega)
 
 

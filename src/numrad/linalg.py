@@ -31,6 +31,9 @@ RESIDUAL_FACTOR = 64.0
 _SVD_SAFE = (2.0**-500, 2.0**500)
 
 
+_OVERFLOWS = "is not finite in double precision (entries overflow)"
+
+
 class NotHermitianError(ValueError):
     """Matrix is farther from self-adjoint than the hermiticity gate allows."""
 
@@ -67,10 +70,14 @@ def max_abs(a) -> float:
     return float(np.abs(a).max())
 
 
-def operator_norm(a) -> float:
-    """Largest singular value of A."""
+def operator_norm(a, name: str = "||A||") -> float:
+    """Largest singular value of A; a finite A whose norm overflows raises
+    the DomainError that ``svd`` raises, naming the norm ``name``."""
     m = as_matrix(a)
-    return float(np.linalg.svd(m, compute_uv=False)[0])
+    s0 = float(np.linalg.svd(m, compute_uv=False)[0])
+    if not np.isfinite(s0):
+        raise DomainError(f"{name} {_OVERFLOWS}")
+    return s0
 
 
 @dataclass(eq=False)
@@ -92,7 +99,7 @@ def svd(a) -> SvdResult:
     if not np.isfinite(s[0]):
         # a finite A whose norm overflows: frexp(inf) would give the
         # rescaling below exponent 0, and the certificate could not fire
-        raise DomainError("||A|| is not finite in double precision (entries overflow)")
+        raise DomainError(f"||A|| {_OVERFLOWS}")
     n = max(m.shape)
     ss, e, floor = s, 0, 0.0
     if not _SVD_SAFE[0] <= s[0] <= _SVD_SAFE[1]:

@@ -27,9 +27,9 @@ function here computes a scale of its own.
 
 Every envelope eigenvalue g(theta) is a valid lower bound.  The upper
 certificate uses the support lines Re(e^{i theta_k} z) <= g(theta_k) that every
-numerical-range point z obeys at the grid angles (spacing h = 2 pi / N, N = 16
-at the sweep).  With s = -arg z - theta_k in [0, h], the lines at both ends of
-its interval give |z| <= min(a / cos s, b / cos(h - s)) for any
+numerical-range point z obeys at the node angles (width h = 2 pi / 16 at the
+sweep).  With s = -arg z - theta_k in [0, h], the lines at both ends of its
+interval give |z| <= min(a / cos s, b / cos(h - s)) for any
 a >= g(theta_k), b >= g(theta_{k+1}).  The first term grows with s and the second falls, so
 this kite's far point is where the lines meet, a vertex of Johnson's outer
 polygon (SIAM J. Numer. Anal. 15, 1978), at the distance
@@ -41,34 +41,89 @@ min(a, b) / cos h otherwise.  Clipping a to b / cos h and b to a / cos h moves
 the meeting point onto the sector's edge, so V of the clipped pair is the
 kite's maximum throughout, and a - b stays small.  That maximum is monotone
 in (a, b), so a = max(g, 0) + delta (b alike), with delta = RESIDUAL_FACTOR *
-n * eps * ||A||, covers the eigensolver's error.  The kite lies inside the
-secant bound max(a, b) / cos(h/2) (some grid angle is within h/2 of -arg z)
-and is exact when both lines touch W(A) at one corner, as at the extreme
-eigenvalue of a normal matrix once both angles lie in its normal cone.  Nor
-is a Lipschitz fallback max_k g + ||A|| h / 2 needed (g is ||A||-Lipschitz):
-for 0 <= g <= ||A||, g (sec(h/2) - 1) <= ||A|| h / 2 at every h <= pi / 8.
+n * eps * ||A||, covers the eigensolver's error and the rounding of H(theta)
+itself; a value certified by Cholesky (below) may stand in for g.  The kite
+lies inside the secant bound max(a, b) / cos(h/2) (some node angle is within
+h/2 of -arg z) and is exact when both lines touch W(A) at one corner, as at
+the extreme eigenvalue of a normal matrix once both angles lie in its normal
+cone.  Nor is a Lipschitz fallback max_k g + ||A|| h / 2 needed (g is
+||A||-Lipschitz): for 0 <= g <= ||A||, g (sec(h/2) - 1) <= ||A|| h / 2 at
+every h <= pi / 8.
 
 Rounding, with u = eps / 2 (+, -, *, /, sqrt exact to u; sin, cos, hypot to
 2u): a and b lose u, the clip 4u; the clipped values are within a factor 2, so
 a - b is exact; the hypot arguments carry 4u and 7u, hypot 2u.  The maximum is
 positively homogeneous and at most V, so this costs a relative factor under
-1 + 15u.  Rounded angles and phases make an interval's true width differ from
-h by under 10 pi u at the sweep, plus 2 pi u per refinement level L, and the
-maximum grows with h at a relative rate at most tan h, which costs at most
-(L + 5) 2 pi u tan(h / 2^L) <= 10 pi u < 32u.  Both hypot arguments carry the
-factor 1 + 32 eps = 1 + 64u, which covers the two.
+1 + 15u.  Every node angle is theta = p c for an integer numerator p over
+GRID_CAP = 2^20 and the stored c = fl(2 pi) / 2^20, with one rounding (under
+2 pi u), and the phase e^{i theta} adds an angle error under 2u; a width
+h = (q - p) c is one rounding too (u h), dyadic or not.  So the angle that
+an interval's two support lines really span differs from the h its kite uses
+by under 4 pi u + 4u + u h < 18u, at every node and every pass, and the
+maximum grows with h at a relative rate at most tan h <= tan(pi / 8) < 0.42,
+which costs under 8u.  Both hypot arguments carry the factor
+1 + 32 eps = 1 + 64u, which covers the two.
 
-Grid refinement doubles the conceptual grid until the enclosure meets the
-requested width, but only re-evaluates intervals whose kite bound still
-exceeds the best certified lower bound; discarded intervals provably cannot
-contain the maximizer, so the enclosure stays sound.  Since H(theta + pi) =
--H(theta), each eigensolve of the sweep gives two grid values, g(theta) =
-lambda_max(H(theta)) and g(theta + pi) = -lambda_min(H(theta)), so the sweep
-solves only its first half of the angles.  From the sweep peak a safeguarded
-Newton ascent on g (one eigh per step, g' and g'' from eigenvalue
+Refinement holds the kept intervals as numerator pairs [p, q] with their end
+values.  An interval whose kite is at most lower is pruned: it cannot contain
+the maximizer, and lower never falls, so the enclosure stays sound.  One whose
+kite is in (lower, lower + target] is kept but not split.  Since
+H(theta + pi) = -H(theta), each eigensolve of the sweep gives two grid values,
+g(theta) = lambda_max(H(theta)) and g(theta + pi) = -lambda_min(H(theta)), so
+the sweep solves only its first half of the angles.  From the sweep peak a
+safeguarded Newton ascent on g (one eigh per step, g' and g'' from eigenvalue
 perturbation; it stops at crossings, where g'' >= 0 and at a step that gains
 nothing) raises the lower bound; it accepts only values |<Ax, x>| above it,
 so lower never falls below the sweep peak.
+
+After an ascent raises lower, the next pass puts nodes on a geometric ladder
+around its peak theta*.  There rho = g + g'' >= 0 (formed by the ascent's last
+eigh) is the radius of curvature of W(A)'s boundary, and the osculating circle
+gives g(theta* + d) ~ rho + (lower - rho) cos d.  On such circle values, the
+kite of an interval at distances d1 < d2 on one side of the peak stays under
+the peak when 4 (lower - rho) d1 d2 >= rho (d2 - d1)^2 (to second order in
+d), that is for a ratio R = d2 / d1 with 4 (lower - rho) R >= rho (R - 1)^2.
+The ladder puts nodes at theta* and theta* +- d0 R^j out to one sweep
+spacing, rounded to numerators, with R the largest power 2^(j/2) <= 16 that
+passes for the loosened radius rho' = rho + (lower - rho) / 4 (sqrt 2 when
+none does), and d0 where the kite at the peak rises target / 2 on that
+circle.  Each node's value mu is the rho' circle's value plus target / 4:
+above the model, so that the model's error seldom makes a certificate fail.
+One Cholesky certifies mu (below); only nodes whose factorization fails are
+eigensolved, and only eigensolved values may start an ascent.  Every other
+pass bisects, with one eigvalsh batch, the intervals whose kite still exceeds
+lower + target.  The circle only places nodes and the kite decides, so a
+wrong rho costs passes, never soundness.  The grid cap is reached when an
+interval one numerator wide still needs splitting.
+
+A node is certified without an eigensolve: if np.linalg.cholesky (LAPACK's
+potrf) factors the stored C~ = mu_s I - H~ + D, with mu_s = fl(mu - s), H~
+the stored envelope (exactly Hermitian) and D the rounding of the diagonal,
+then lambda_max(H~) <= mu.  The computed factor satisfies R* R = C~ + E with
+|E| <= gamma_{n+1} |R*| |R| in real arithmetic, in any summation order
+(Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., Thm 10.3;
+gamma_k = k u / (1 - k u)); in complex arithmetic a product conj(r_ki) r_kj
+errs by at most sqrt(2) gamma_2 < gamma_3 where a real one errs by u (section
+3.6), so gamma = gamma_{n+4} covers it.  Rump's trace argument (BIT 46, 2006)
+turns this into a norm bound: ||E||_2 <= gamma || |R*| |R| ||_2 <= gamma
+||R||_F^2, and |E_jj| <= gamma (|R*| |R|)_jj gives
+
+    ||R||_F^2 = tr(C~ + E) <= tr(C~) + gamma ||R||_F^2,
+
+so ||E||_2 <= gamma' tr(C~) with gamma' = gamma / (1 - gamma).  R* R is
+positive semidefinite, so
+lambda_min(C~) >= -gamma' tr(C~), and |D_jj| <= u (|mu_s| + ||H~||_2).  With
+tr(C~) <= n (|mu_s| + ||H~||_2)(1 + u), ||H~||_2 <= 2 ||A||,
+gamma' <= 1.03 (n + 4) u (n below 10^13) and mu_s <= mu - s + u |mu - s|,
+the shift
+
+    s = (n (n + 4) + 2) eps (|mu| + 2 ||A||)
+
+exceeds the sum of these terms with a factor near 2 to spare, which also
+covers the rounding of s and of ||A||.  At n = 128 and ||A|| = 1 it is about
+1.1e-11, a hundredth of the default target.  At most _CERT_BYTES of matrices
+are factored in one call; a batch that fails is split in halves until its
+failing nodes are found.
 
 When the numerical range is a disk centred at 0 (the Jordan block, weighted
 shifts, every 2x2 nilpotent matrix) the envelope is constant, nothing is
@@ -126,13 +181,31 @@ from .linalg import EPS, RESIDUAL_FACTOR, _hermitize, as_square, max_abs
 
 TWO_PI = 2.0 * np.pi
 
-# Hard cap on the conceptual grid size during enclosure refinement.
+# Hard cap on the conceptual grid size during enclosure refinement.  Every
+# node angle is an integer numerator p over it: theta = p * _UNIT.
 GRID_CAP = 2 ** 20
+_UNIT = TWO_PI / GRID_CAP
 
 # Batch limits for vectorized envelope eigenvalue sweeps: at most this many
 # matrices, and at most this many bytes of n x n complex matrices, per batch.
 _SWEEP_CHUNK = 8192
 _SWEEP_BYTES = 64 * 2 ** 20
+
+# Bytes of n x n complex matrices per Cholesky (and fallback eigvalsh) batch
+# of a ladder pass: 8 matrices at n = 128.
+_CERT_BYTES = 2 * 2 ** 20
+
+# A ladder node certifies the osculating circle's value moved this share of
+# the way up toward lower (plus a quarter of the target), and its ratio is at
+# most 2^_LADDER_BITS.
+_LOOSEN = 0.25
+_LADDER_BITS = 4
+
+# A peak whose radius of curvature rho is below this share of lower is a
+# corner of W(A) (rho = 0 at an eigenvalue of a normal matrix): a kite there
+# is exact once both its angles lie in the corner's normal cone, so
+# bisection needs a few passes where a ladder would certify many nodes.
+_CORNER = 2.0 ** -8
 
 # Sample batch for the randomized Rayleigh oracle.
 _ORACLE_CHUNK = 20000
@@ -202,9 +275,10 @@ class RadiusEstimate:
 
     ``witness`` is a unit vector with |<A witness, witness>| equal to
     ``lower`` (to rounding), ``theta_star`` the angle in [0, 2 pi) at which
-    the maximum was located, ``grid_points`` the resolution of the grid the
-    upper certificate refers to; when the LMI certificate sets ``upper``, it
-    is the initial sweep's size, the grid was never refined.
+    the maximum was located, ``grid_points`` 2 pi over the finest kept
+    interval's width, rounded up to a power of two (at least the sweep's
+    16); when the LMI certificate sets ``upper`` it is the sweep's size,
+    nothing was refined.
     ``refinement_iters`` counts the eigensolves of all ascents.
     """
 
@@ -272,17 +346,18 @@ def _ascend(
     x: np.ndarray | None,
     theta: float,
     stop: float,
-) -> tuple[float, np.ndarray, float, int]:
+) -> tuple[float, np.ndarray, float, int, float]:
     """Safeguarded Newton ascent on g(theta) = lambda_max(H(theta)) from the
     angle ``start``: improves the best estimate ``lower``, which the witness
-    ``x`` attains at ``theta``, and returns (lower, x, theta, eigensolves).
+    ``x`` attains at ``theta``, and returns (lower, x, theta, eigensolves,
+    rho), rho = g + g'' at the last step that formed it (nan if none did).
 
     Each step is one eigh of H(theta) = V diag(w) V*, top pair (g, y).  With
     H' = dH/dtheta = (i e^{i theta} A - i e^{-i theta} A*) / 2 and H'' = -H,
     eigenvalue perturbation gives g' = y* H' y and
     g'' = -g + 2 sum_{j>1} |v_j* H' y|^2 / (g - w_j), formed in units of
     ||H(theta)||_2 (numerical_radius passes ||A|| < 2 sqrt(2) n, so no square
-    overflows).  The next angle is
+    overflows); H' y comes from the products A y and A* y.  The next angle is
     theta - g'/g'' clipped to _MAX_STEP.  |<Ay, y>| is a lower bound for
     w(A), and is accepted only when it beats ``lower``, with
     theta = -arg<Ay, y>, so Re(e^{i theta}<Ay, y>) = lower.  The ascent stops
@@ -291,13 +366,16 @@ def _ascend(
     after _ASCENT_STEPS eigensolves, at a crossing (g - w_2 tiny) or where
     g'' >= 0; grid refinement covers any gain left there.  An ``x`` of None
     (``lower`` the sweep value at ``start == theta``) takes the first eigh's
-    top eigenvector, which attains that value to rounding.
+    top eigenvector, which attains that value to rounding.  rho is the
+    radius of curvature of W(A)'s boundary, which the ladder reads.
     """
     th = start
+    rho = math.nan
     for steps in range(1, _ASCENT_STEPS + 1):
         w, v = _envelope_eigh(m, mh, th)
         y = v[:, -1]
-        z = complex(np.vdot(y, m @ y))
+        ay = m @ y
+        z = complex(np.vdot(y, ay))
         if abs(z) > lower:
             lower, x, theta = abs(z), y, float(-np.angle(z))
         elif steps > 1:
@@ -311,16 +389,18 @@ def _ascend(
         # at a crossing, and at once for a 1x1 input (lower = |a| = w(A))
         if not gaps.size or gaps[-1] <= _GAP:
             break
-        c = v.conj().T @ (_envelope(m, mh, 1j * np.exp(1j * th)) @ y) / unit
+        c = v.conj().T @ _envelope(ay, mh @ y, 1j * np.exp(1j * th)) / unit
         slope = c[-1].real
-        curv = 2.0 * float((np.abs(c[:-1]) ** 2 / gaps).sum()) - w[-1] / unit
+        bend = 2.0 * float((np.abs(c[:-1]) ** 2 / gaps).sum())
+        rho = bend * unit
+        curv = bend - w[-1] / unit
         if curv >= 0.0:
             break
         nxt = min(_MAX_STEP, max(-_MAX_STEP, -slope / curv))
         if w[-1] + 0.5 * unit * slope * nxt <= lower + stop:
             break
         th += nxt
-    return lower, x, theta % TWO_PI, steps
+    return lower, x, theta % TWO_PI, steps, rho
 
 
 def radius_sample_oracle(a, samples: int, seed: int = 0) -> float:
@@ -347,16 +427,104 @@ def radius_sample_oracle(a, samples: int, seed: int = 0) -> float:
     return best
 
 
-def _grid_upper(gl, gr, h: float, slack: float):
+def _grid_upper(gl, gr, h, slack: float):
     """Certified bound on |z| over the z in W(A) with -arg z in angle intervals
-    of width h and envelope end values ``gl``, ``gr`` (the module docstring)."""
+    of widths h and envelope end values ``gl``, ``gr`` (the module docstring)."""
     a = np.maximum(gl, 0.0) + slack
     b = np.maximum(gr, 0.0) + slack
-    k, r = 1.0 / math.cos(h), 1.0 + 32.0 * EPS
+    k, r = 1.0 / np.cos(h), 1.0 + 32.0 * EPS
     a, b = np.minimum(a, k * b), np.minimum(b, k * a)
-    return np.hypot(
-        (a - b) * (r / math.sin(h)), np.sqrt(a) * np.sqrt(b) * (r / math.cos(h / 2.0))
-    )
+    return np.hypot((a - b) * (r / np.sin(h)), np.sqrt(a) * np.sqrt(b) * (r / np.cos(0.5 * h)))
+
+
+def _split(lo, hi, gl, gr, q, gq):
+    """The intervals [lo, hi] (sorted numerators, end values gl, gr) split at
+    the nodes q, each strictly inside one of them, with node values gq."""
+    owner = np.concatenate((np.arange(lo.size), np.searchsorted(lo, q, side="right") - 1))
+    order = np.argsort(np.concatenate((lo, q)), kind="stable")
+    owner = owner[order]
+    left = np.concatenate((lo, q))[order]
+    val = np.concatenate((gl, gq))[order]
+    # an interval ends at the next node unless the next node starts another
+    last = np.append(owner[1:] != owner[:-1], True)
+    right, rval = np.empty_like(left), np.empty_like(val)
+    right[:-1], rval[:-1] = left[1:], val[1:]
+    right[last], rval[last] = hi[owner[last]], gr[owner[last]]
+    return left, right, val, rval
+
+
+def _ladder(theta: float, lower: float, rho: float, target: float, lo, hi):
+    """Nodes of a geometric ladder around the peak angle ``theta`` that fall
+    strictly inside the kept intervals [lo, hi], and the value each is to be
+    certified at (the module docstring); None when rho gives no ladder or no
+    node falls inside."""
+    if not _CORNER * lower <= rho < lower:
+        return None
+    # the certified values follow the osculating circle of radius `loose`
+    loose = rho + _LOOSEN * (lower - rho)
+    # the largest ratio R = 2^(j/2) whose kites stay under that circle's
+    # peak: 4 (lower - loose) R >= loose (R - 1)^2
+    half = 1
+    while half < 2 * _LADDER_BITS:
+        r = 2.0 ** (0.5 * (half + 1))
+        if 4.0 * (lower - loose) * r < loose * (r - 1.0) ** 2:
+            break
+        half += 1
+    # the innermost rungs, at +-d0 from the node at the peak: the kite of
+    # [theta, theta + d0] rises about loose^2 d0^2 / (8 lower) over the peak;
+    # keep that to target / 2.  The rungs end within a sweep spacing.
+    span = GRID_CAP / RadiusConfig.grid_points
+    d0 = min(span, max(1.0, math.sqrt(4.0 * target * lower) / loose / _UNIT))
+    count = max(1, math.ceil(2.0 * math.log2(span / d0) / half))
+    rungs = d0 * 2.0 ** (0.5 * half * np.arange(count))
+    t = theta / _UNIT
+    q = np.unique(np.rint(t + np.concatenate(([0.0], rungs, -rungs))))
+    d = (q - t) * _UNIT
+    mu = lower + 0.25 * target - (1.0 - _LOOSEN) * (lower - rho) * 2.0 * np.sin(0.5 * d) ** 2
+    q = q.astype(np.int64) % GRID_CAP
+    owner = np.searchsorted(lo, q, side="right") - 1
+    inside = (owner >= 0) & (q > lo[owner]) & (q < hi[owner])
+    if not inside.any():
+        return None
+    q, keep = np.unique(q[inside], return_index=True)
+    return q, mu[inside][keep]
+
+
+def _factors(c: np.ndarray) -> np.ndarray:
+    """Mask of the matrices in the stack c whose Cholesky factorization
+    succeeds; a failed batch is split in halves."""
+    try:
+        np.linalg.cholesky(c)
+        return np.ones(c.shape[0], dtype=bool)
+    except np.linalg.LinAlgError:
+        if c.shape[0] == 1:
+            return np.zeros(1, dtype=bool)
+        half = c.shape[0] // 2
+        return np.concatenate((_factors(c[:half]), _factors(c[half:])))
+
+
+def _certify(m: np.ndarray, mh: np.ndarray, thetas, mu, norm: float):
+    """Certified upper bounds on lambda_max(H(theta)) at ``thetas``: mu where
+    one Cholesky of (mu - s) I - H(theta) succeeds (the module docstring),
+    else eigvalsh's value; returns the values and the mask of eigensolved
+    nodes."""
+    n = m.shape[0]
+    vals, solved = mu.copy(), np.zeros(mu.size, dtype=bool)
+    shift = (n * (n + 4) + 2) * EPS * (np.abs(mu) + 2.0 * norm)
+    diag = np.arange(n)
+    chunk = max(1, _CERT_BYTES // (16 * n * n))
+    for s in range(0, mu.size, chunk):
+        # -H(theta) formed as (-ph / 2) A + conj(-ph / 2) A*: exactly
+        # Hermitian, with a real diagonal, like _envelope's H(theta)
+        ph = -0.5 * np.exp(1j * thetas[s : s + chunk])[:, None, None]
+        c = ph * m
+        c += np.conj(ph) * mh
+        c[:, diag, diag] += (mu[s : s + chunk] - shift[s : s + chunk])[:, None]
+        bad = ~_factors(c)
+        if bad.any():
+            solved[s : s + chunk] = bad
+            vals[s : s + chunk][bad] = np.linalg.eigvalsh(_envelope(m, mh, -2.0 * ph[bad]))[:, -1]
+    return vals, solved
 
 
 def _lmi_upper(m: np.ndarray, r: float, target: float) -> float:
@@ -423,13 +591,14 @@ def numerical_radius(a, cfg: RadiusConfig | None = None) -> RadiusEstimate:
     """Certified enclosure of w(A): sweep (half the grid's angles, each
     eigensolve giving g at theta and theta + pi), Newton ascent from the
     sweep peak, one try of the LMI certificate when the envelope is flat,
-    then grid doubling (with interval pruning) until upper - lower <= target
-    width; a refinement midpoint more than 0.01 target above lower starts a
-    new ascent.
+    then refinement passes (with interval pruning) until upper - lower <=
+    target width: a Cholesky-certified ladder around the peak after each
+    ascent that raised lower, bisection otherwise; an eigensolved node more
+    than 0.01 target above lower starts a new ascent.
 
     All of this runs on A / 4^k (the module docstring); the results come
     back in the caller's units.  Raises :class:`EnclosureNotReached`
-    carrying the best estimate if the grid cap of 2**20 points is
+    carrying the best estimate if intervals of 2 pi / 2**20 are
     insufficient.
     """
     m = as_square(a)
@@ -449,53 +618,58 @@ def numerical_radius(a, cfg: RadiusConfig | None = None) -> RadiusEstimate:
     slack = RESIDUAL_FACTOR * n * EPS * norm
 
     nn = RadiusConfig.grid_points
-    h = TWO_PI / nn
-    lefts = np.arange(nn) * h
-    gl = _envelope_gvals(m, mh, lefts[: nn // 2], antipodal=True)
+    lo = np.arange(0, GRID_CAP, GRID_CAP // nn)
+    hi = lo + GRID_CAP // nn
+    gl = _envelope_gvals(m, mh, lo[: nn // 2] * _UNIT, antipodal=True)
     gr = np.concatenate((gl[1:], gl[:1]))
 
     k = int(gl.argmax())
-    theta = float(lefts[k])
-    lower, x, theta, iters = _ascend(m, mh, theta, float(gl[k]), None, theta, stop)
-
+    theta = float(lo[k] * _UNIT)
+    lower, x, theta, iters, rho = _ascend(m, mh, theta, float(gl[k]), None, theta, stop)
+    ladder = lower > gl[k]
+    first = True
     while True:
-        # lefts is never empty: a refinement pass only runs when some
-        # certificate exceeds lower + target, and it keeps that interval
-        certs = _grid_upper(gl, gr, h, slack)
+        certs = _grid_upper(gl, gr, (hi - lo) * _UNIT, slack)
         upper = max(lower, float(certs.max()))
         if upper - lower <= target:
             break
         # refining a flat envelope would prune nothing: try the grid-free
         # certificate once instead
-        flat = nn == RadiusConfig.grid_points and 2 * np.count_nonzero(
-            np.maximum(gl, gr) > _FLAT * lower
-        ) >= nn
-        if flat:
+        if first and 2 * np.count_nonzero(np.maximum(gl, gr) > _FLAT * lower) >= nn:
             lmi = _lmi_upper(m, lower + target / 2.0, target)
             if lmi - lower <= target:
                 upper = lmi
                 break
-        if 2 * nn > GRID_CAP:
-            break
+        first = False
+        # the intervals are never all pruned: a pass only runs when some
+        # certificate exceeds lower + target, and it keeps that interval
         keep = certs > lower
-        lefts, gl, gr = lefts[keep], gl[keep], gr[keep]
-        mids = lefts + h / 2.0
-        gm = _envelope_gvals(m, mh, mids)
-        j = int(gm.argmax())
-        # a midpoint within stop of lower would only repeat the ascent that
-        # found lower
-        if float(gm[j]) > lower + stop:
-            lower, x, theta, it = _ascend(m, mh, float(mids[j]), lower, x, theta, stop)
+        lo, hi, gl, gr, certs = lo[keep], hi[keep], gl[keep], gr[keep], certs[keep]
+        rungs = _ladder(theta, lower, rho, target, lo, hi) if ladder else None
+        if rungs is not None:
+            q = rungs[0]
+            gq, solved = _certify(m, mh, q * _UNIT, rungs[1], norm)
+        else:
+            split = certs > lower + target
+            if (hi[split] - lo[split] < 2).any():
+                break
+            q = (lo[split] + hi[split]) // 2
+            gq = _envelope_gvals(m, mh, q * _UNIT)
+            solved = np.ones(q.size, dtype=bool)
+        lo, hi, gl, gr = _split(lo, hi, gl, gr, q, gq)
+        ladder = False
+        # only eigensolved values may start an ascent; one within stop of
+        # lower would only repeat the ascent that found lower
+        start = np.where(solved, gq, -math.inf)
+        j = int(start.argmax())
+        if start[j] > lower + stop:
+            before = lower
+            lower, x, theta, it, rho = _ascend(m, mh, q[j] * _UNIT, lower, x, theta, stop)
             iters += it
-        # each midpoint lies inside its own interval, so interleaving keeps
-        # the angles sorted
-        nodes = np.empty((3, lefts.size, 2))
-        nodes[:, :, 0] = lefts, gl, gm
-        nodes[:, :, 1] = mids, gm, gr
-        lefts, gl, gr = nodes.reshape(3, -1)
-        h /= 2.0
-        nn *= 2
+            ladder = lower > before
 
+    # 2 pi over the finest kept width, rounded up to a power of two
+    nn = GRID_CAP >> (int(np.min(hi - lo)).bit_length() - 1)
     est = RadiusEstimate(
         _scale_back(lower, f, 0.0), _scale_back(upper, f, math.inf), theta % TWO_PI, x, nn, iters
     )

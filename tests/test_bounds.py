@@ -33,10 +33,11 @@ from numrad.bounds import (
     identity_pair,
     parse_bound_id,
     power_sqrt_pair,
+    report_dict,
 )
-from numrad.ensembles import EnsembleSpec, generate
+from numrad.ensembles import FAMILIES, EnsembleSpec, generate
 from numrad.linalg import DomainError, NotHermitianError, operator_norm
-from numrad.radius import TWO_PI, RadiusConfig
+from numrad.radius import TWO_PI, EnclosureNotReached, RadiusConfig
 
 from conftest import random_complex
 
@@ -580,3 +581,65 @@ def test_tolerance_absorbs_enclosure_width(rng):
     for bid in ("B0", "SQ", "LEM1+", "LEM1-", "T1"):
         rep = evaluate(bid, ctx)
         assert not rep.violated, bid
+
+
+def _scaled(a, e):
+    """2^e A, exact wherever the result is a normal number; entries past the
+    double range become inf."""
+    with np.errstate(over="ignore"):
+        return np.ldexp(np.ascontiguousarray(a).view(np.float64), e).view(np.complex128)
+
+
+def test_kit_rhs_is_formed_from_halves():
+    # |A| + |A*| overflows on these draws at 2^1023, || |A|/2 + |A*|/2 || does
+    # not: ginibre (largest entry 1.47e308) warned "overflow in add" and
+    # blamed the finite input, rank1 reported rhs inf with violated False
+    for family in ("ginibre", "rank1"):
+        a = _scaled(generate(EnsembleSpec(family, 2, 1, seed=3), 0), 1023)
+        rep = evaluate("KIT", a)
+        assert math.isfinite(rep.rhs) and math.isfinite(rep.slack), family
+        assert not rep.violated, family
+        # KIT is tight on rank one: both sides agree to the enclosure width
+        assert rep.lhs <= rep.rhs * (1.0 + 1e-9), family
+
+
+# every id that reads one matrix, plus COR at r = 3 (the criterion-3 list and
+# the diagnostic T3-PRINTED)
+SWEEP_IDS = [e.bound_id for e in catalog_list() if e.arity == 1] + ["COR:3"]
+SWEEP_ERRORS = (
+    DomainError,
+    IdentityCheckError,
+    HypothesisFailed,
+    NotPositiveError,
+    EnclosureNotReached,
+)
+
+
+def test_every_scale_gives_finite_terms_or_a_named_error():
+    # 7 families x n in {2, 5} x 2^e for e = -1070, -973, ..., 967 and 1023,
+    # under error::RuntimeWarning (the project's pytest setting): every
+    # evaluation returns finite terms and no violated theorem, or raises one
+    # of the documented errors
+    assert len(SWEEP_IDS) == 12
+    inputs = 0
+    for family in FAMILIES:
+        for n in (2, 5):
+            base = generate(EnsembleSpec(family, n, 1, seed=3), 0)
+            for e in [*range(-1070, 1024, 97), 1023]:
+                a = _scaled(base, e)
+                if not np.isfinite(a).all():
+                    continue  # not a matrix of doubles: the input gate's case
+                inputs += 1
+                ctx = MatrixContext(a)
+                for token in SWEEP_IDS:
+                    case = (family, n, e, token)
+                    try:
+                        rep = evaluate(token, ctx)
+                    except SWEEP_ERRORS:
+                        continue
+                    fields = report_dict(token, rep)
+                    values = fields.get("terms", [fields.get("lhs"), fields.get("rhs")])
+                    assert all(math.isfinite(v) for v in values), case
+                    if token != "T3-PRINTED":
+                        assert not rep.violated, case
+    assert inputs >= 300

@@ -513,6 +513,23 @@ def test_norm_that_overflows_exits_1(huge_json, capsys):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_gram_norm_that_overflows_exits_1(tmp_path, capsys):
+    # every entry of A*A + AA* is finite (1.2e308) on sqrt(3e307) ones((2, 2)),
+    # its norm (2.4e308) is not: operator_norm refuses it, naming the norm,
+    # where SQ, T1 and T3 reported infinite terms with exit 0
+    path = tmp_path / "gram.json"
+    save_matrix(np.sqrt(3e307) * np.ones((2, 2)), str(path))
+    for bid in ("SQ", "T1", "T3"):
+        argv = ["bounds", "--input", str(path), "--bounds", bid, "--output", "json"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: ||A*A + AA*|| is not finite in double precision (entries overflow)\n"
+        )
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_hermitian_parts_are_halved_inside_the_overflow_gate(tmp_path, huge_json, capsys):
     # ||A +- A*|| / 2 is ||A/2 +- A*/2||, and (A* +- A) is formed inside the
     # gate of the product that reads it: no numpy overflow leaks out first

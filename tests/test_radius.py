@@ -344,15 +344,23 @@ def _counted(monkeypatch, a):
 @pytest.mark.parametrize("nilpotent,max_eigh", [(False, 4), (True, 6)])
 def test_eigensolve_budget(rng, monkeypatch, nilpotent, max_eigh):
     # the default enclosure of a 32x32 draw: one sweep of half the grid's
-    # angles (each eigensolve also gives the value half a turn on), a few
-    # refinement levels over the surviving intervals, and a Newton ascent of
-    # 2-3 eigh calls from the sweep peak, nilpotent draws included
+    # angles (each eigensolve also gives the value half a turn on), a Newton
+    # ascent of 2-3 eigh calls from the sweep peak, nilpotent draws included,
+    # then a ladder around the peak whose nodes Cholesky certifies, and
+    # bisection of the few intervals left over.  The dyadic grid took 12
+    # refinement levels of 2-4 eigensolves each on such draws
     a = random_complex(rng, 32)
     if nilpotent:
         a = np.triu(a, 1)
+    certify = numrad.radius._certify
+    ladders = []
+    monkeypatch.setattr(
+        numrad.radius, "_certify", lambda *args: ladders.append(args[2].size) or certify(*args)
+    )
     est, batches, eighs = _counted(monkeypatch, a)
     assert batches[0] == RadiusConfig().grid_points // 2
-    assert sum(batches) <= 80
+    assert sum(batches[1:]) <= 16
+    assert len(ladders) >= 1
     assert len(eighs) <= max_eigh
     assert est.width <= 1e-9 * max(1.0, operator_norm(a))
 
@@ -387,7 +395,7 @@ def test_newton_ascent_never_below_its_start(rng, monkeypatch):
         for theta in np.arange(16) * (TWO_PI / 16):
             start = float(_envelope_gvals(a, ah, np.array([theta]))[0])
             theta = float(theta)
-            lower, x, th, steps = _ascend(a, ah, theta, start, None, theta, stop)
+            lower, x, th, steps, _ = _ascend(a, ah, theta, start, None, theta, stop)
             assert lower >= start
             assert 1 <= steps <= numrad.radius._ASCENT_STEPS
             got = (np.exp(1j * th) * np.vdot(x, a @ x)).real
@@ -416,12 +424,12 @@ def test_ascent_improves_the_estimate_it_is_given(rng):
         x /= np.linalg.norm(x)
         top = 2.0 * operator_norm(a)
         for start in np.arange(8) * (TWO_PI / 8):
-            lower, y, th, steps = _ascend(a, ah, float(start), top, x, 1.25, stop)
+            lower, y, th, steps, _ = _ascend(a, ah, float(start), top, x, 1.25, stop)
             assert (lower, th, steps) == (top, 1.25, 1) and y is x
         g0 = float(_envelope_gvals(a, ah, np.zeros(1))[0])
         first = _ascend(a, ah, 0.0, g0, None, 0.0, stop)
         for start in np.arange(8) * (TWO_PI / 8) + 0.3:
-            lower, y, th, steps = _ascend(a, ah, float(start), *first[:3], stop)
+            lower, y, th, steps, _ = _ascend(a, ah, float(start), *first[:3], stop)
             assert lower >= first[0]
             assert 1 <= steps <= numrad.radius._ASCENT_STEPS
             got = (np.exp(1j * th) * np.vdot(y, a @ y)).real
@@ -921,3 +929,71 @@ def test_kite_decides_before_the_flat_trigger(monkeypatch):
     gl = _envelope_gvals(a, a.conj().T, lefts[: nn // 2], antipodal=True)
     gr = np.concatenate((gl[1:], gl[:1]))
     assert np.count_nonzero(np.maximum(gl, gr) > numrad.radius._FLAT * est.lower) == nn
+
+
+def _recorded_certificates(monkeypatch, a):
+    """numerical_radius(a) with every _certify call recorded as (normalized
+    matrix, angles, values asked, values returned, eigensolved mask)."""
+    seen = []
+    certify = numrad.radius._certify
+
+    def recording(m, mh, thetas, mu, norm):
+        vals, solved = certify(m, mh, thetas, mu, norm)
+        seen.append((m, thetas, mu, vals, solved))
+        return vals, solved
+
+    with monkeypatch.context() as patch:
+        patch.setattr(numrad.radius, "_certify", recording)
+        est = numerical_radius(a)
+    return est, seen
+
+
+def test_cholesky_certified_nodes_are_sound(monkeypatch):
+    # 7 families x n in {2, 5, 8, 32} x scales 2^-600, 1, 2^600: every node a
+    # Cholesky factorization certified has eigvalsh's lambda_max(H(theta)) at
+    # or below its certified value, every eigensolved node carries that
+    # value, and every enclosure meets its width, holds the sample oracle
+    # and reports a power-of-two grid_points
+    certified = 0
+    for family in FAMILIES:
+        for n in (2, 5, 8, 32):
+            base = generate(EnsembleSpec(family, n, 1, seed=6), 0)
+            oracle = radius_sample_oracle(base, 2000, seed=n)
+            for e in (-600, 0, 600):
+                a = np.ldexp(base.view(np.float64), e).view(np.complex128)
+                est, seen = _recorded_certificates(monkeypatch, a)
+                case = (family, n, e)
+                for m, thetas, mu, vals, solved in seen:
+                    top = _envelope_gvals(m, m.conj().T, thetas)
+                    assert np.all(top[~solved] <= vals[~solved]), case
+                    assert np.array_equal(vals[~solved], mu[~solved]), case
+                    assert np.allclose(vals[solved], top[solved], rtol=0, atol=1e-13), case
+                    certified += int(np.count_nonzero(~solved))
+                assert est.width <= RadiusConfig().resolve_target(operator_norm(a)), case
+                assert math.ldexp(oracle, e) <= est.upper * (1.0 + 1e-12), case
+                g = est.grid_points
+                assert RadiusConfig.grid_points <= g <= GRID_CAP and g & (g - 1) == 0, case
+    # the sample takes the Cholesky path on most of its generic draws
+    assert certified >= 500
+
+
+def test_cholesky_refuses_values_below_lambda_max():
+    # a value 1e-6 ||A|| below lambda_max(H(theta)) is never certified: every
+    # such node falls back to its eigvalsh value; 1e-6 ||A|| above, every
+    # node is certified at the value asked
+    rng = np.random.default_rng(26)
+    for family in FAMILIES:
+        for n in (2, 5, 8, 32):
+            for e in (-600, 0, 600):
+                a = generate(EnsembleSpec(family, n, 1, seed=6), 0)
+                m, _ = _normalized(np.ldexp(a.view(np.float64), e).view(np.complex128))
+                mh = m.conj().T
+                norm = operator_norm(m)
+                thetas = rng.uniform(0.0, TWO_PI, 11)
+                top = _envelope_gvals(m, mh, thetas)
+                vals, solved = numrad.radius._certify(m, mh, thetas, top - 1e-6 * norm, norm)
+                assert solved.all(), (family, n, e)
+                assert np.allclose(vals, top, rtol=0, atol=1e-13), (family, n, e)
+                vals, solved = numrad.radius._certify(m, mh, thetas, top + 1e-6 * norm, norm)
+                assert not solved.any(), (family, n, e)
+                assert np.array_equal(vals, top + 1e-6 * norm), (family, n, e)
