@@ -40,7 +40,6 @@ from .linalg import (
     herm_eigen,
     operator_norm,
     svd,
-    _OVERFLOWS,
     _apply_to_values,
     _hermitize,
 )
@@ -209,7 +208,7 @@ def _finite(name: str, compute: Callable):
     with np.errstate(over="ignore", invalid="ignore"):
         value = compute()
     if not np.all(np.isfinite(value)):
-        raise DomainError(f"{name} {_OVERFLOWS}")
+        raise DomainError(f"{name} is not finite in double precision (entries overflow)")
     return value
 
 

@@ -31,9 +31,6 @@ RESIDUAL_FACTOR = 64.0
 _SVD_SAFE = (2.0**-500, 2.0**500)
 
 
-_OVERFLOWS = "is not finite in double precision (entries overflow)"
-
-
 class NotHermitianError(ValueError):
     """Matrix is farther from self-adjoint than the hermiticity gate allows."""
 
@@ -76,7 +73,7 @@ def operator_norm(a, name: str = "||A||") -> float:
     m = as_matrix(a)
     s0 = float(np.linalg.svd(m, compute_uv=False)[0])
     if not np.isfinite(s0):
-        raise DomainError(f"{name} {_OVERFLOWS}")
+        raise DomainError(f"{name} is not finite in double precision (entries overflow)")
     return s0
 
 
@@ -99,7 +96,7 @@ def svd(a) -> SvdResult:
     if not np.isfinite(s[0]):
         # a finite A whose norm overflows: frexp(inf) would give the
         # rescaling below exponent 0, and the certificate could not fire
-        raise DomainError(f"||A|| {_OVERFLOWS}")
+        raise DomainError("||A|| is not finite in double precision (entries overflow)")
     n = max(m.shape)
     ss, e, floor = s, 0, 0.0
     if not _SVD_SAFE[0] <= s[0] <= _SVD_SAFE[1]:

@@ -89,12 +89,18 @@ passes for the loosened radius rho' = rho + (lower - rho) / 4 (sqrt 2 when
 none does), and d0 where the kite at the peak rises target / 2 on that
 circle.  Each node's value mu is the rho' circle's value plus target / 4:
 above the model, so that the model's error seldom makes a certificate fail.
-One Cholesky certifies mu (below); only nodes whose factorization fails are
+A peak with rho below lower / 256 is a corner of W(A) (rho = 0 at an
+eigenvalue of a normal matrix), where the kite is nearly exact once both its
+angles lie in the corner's normal cone; it is bisected instead.  One
+Cholesky certifies mu (below); only nodes whose factorization fails are
 eigensolved, and only eigensolved values may start an ascent.  Every other
 pass bisects, with one eigvalsh batch, the intervals whose kite still exceeds
 lower + target.  The circle only places nodes and the kite decides, so a
-wrong rho costs passes, never soundness.  The grid cap is reached when an
-interval one numerator wide still needs splitting.
+wrong rho costs passes, never soundness.  An interval one numerator wide is
+at the grid cap and is not split.  Once no interval that needs splitting can
+be, the ends of those still too wide trade their certified values, which
+carry the ladder's loosening, for eigensolved ones, and EnclosureNotReached
+is raised if the width is still missed.
 
 A node is certified without an eigensolve: if np.linalg.cholesky (LAPACK's
 potrf) factors the stored C~ = mu_s I - H~ + D, with mu_s = fl(mu - s), H~
@@ -111,11 +117,10 @@ turns this into a norm bound: ||E||_2 <= gamma || |R*| |R| ||_2 <= gamma
     ||R||_F^2 = tr(C~ + E) <= tr(C~) + gamma ||R||_F^2,
 
 so ||E||_2 <= gamma' tr(C~) with gamma' = gamma / (1 - gamma).  R* R is
-positive semidefinite, so
-lambda_min(C~) >= -gamma' tr(C~), and |D_jj| <= u (|mu_s| + ||H~||_2).  With
-tr(C~) <= n (|mu_s| + ||H~||_2)(1 + u), ||H~||_2 <= 2 ||A||,
-gamma' <= 1.03 (n + 4) u (n below 10^13) and mu_s <= mu - s + u |mu - s|,
-the shift
+positive semidefinite, so lambda_min(C~) >= -gamma' tr(C~), and
+|D_jj| <= u (|mu_s| + ||H~||_2).  With tr(C~) <= n (|mu_s| + ||H~||_2)(1 + u),
+||H~||_2 <= 2 ||A||, n below 10^6 (so gamma' <= 1.03 (n + 4) u, and s is
+below 0.03 (|mu| + 2 ||A||)) and mu_s <= mu - s + u |mu - s|, the shift
 
     s = (n (n + 4) + 2) eps (|mu| + 2 ||A||)
 
@@ -192,8 +197,9 @@ _SWEEP_CHUNK = 8192
 _SWEEP_BYTES = 64 * 2 ** 20
 
 # Bytes of n x n complex matrices per Cholesky (and fallback eigvalsh) batch
-# of a ladder pass: 8 matrices at n = 128.
-_CERT_BYTES = 2 * 2 ** 20
+# of a ladder pass: one matrix at n = 128, where a call's overhead is lost in
+# its work.  A 2 MiB batch read 3 MB more peak RSS on the enclose-large cycle.
+_CERT_BYTES = 2 ** 18
 
 # A ladder node certifies the osculating circle's value moved this share of
 # the way up toward lower (plus a quarter of the target), and its ratio is at
@@ -439,18 +445,17 @@ def _grid_upper(gl, gr, h, slack: float):
 
 def _split(lo, hi, gl, gr, q, gq):
     """The intervals [lo, hi] (sorted numerators, end values gl, gr) split at
-    the nodes q, each strictly inside one of them, with node values gq."""
-    owner = np.concatenate((np.arange(lo.size), np.searchsorted(lo, q, side="right") - 1))
-    order = np.argsort(np.concatenate((lo, q)), kind="stable")
-    owner = owner[order]
-    left = np.concatenate((lo, q))[order]
-    val = np.concatenate((gl, gq))[order]
-    # an interval ends at the next node unless the next node starts another
-    last = np.append(owner[1:] != owner[:-1], True)
-    right, rval = np.empty_like(left), np.empty_like(val)
-    right[:-1], rval[:-1] = left[1:], val[1:]
-    right[last], rval[last] = hi[owner[last]], gr[owner[last]]
-    return left, right, val, rval
+    the nodes q, each strictly inside one of them, with node values gq.  The
+    intervals are disjoint, so the k-th smallest left end pairs with the k-th
+    smallest right end."""
+    left = np.argsort(np.concatenate((lo, q)))
+    right = np.argsort(np.concatenate((q, hi)))
+    return (
+        np.concatenate((lo, q))[left],
+        np.concatenate((q, hi))[right],
+        np.concatenate((gl, gq))[left],
+        np.concatenate((gq, gr))[right],
+    )
 
 
 def _ladder(theta: float, lower: float, rho: float, target: float, lo, hi):
@@ -650,8 +655,17 @@ def numerical_radius(a, cfg: RadiusConfig | None = None) -> RadiusEstimate:
             q = rungs[0]
             gq, solved = _certify(m, mh, q * _UNIT, rungs[1], norm)
         else:
-            split = certs > lower + target
-            if (hi[split] - lo[split] < 2).any():
+            # an interval one numerator wide is at the grid cap: the others
+            # still split, and the cap ends the loop once none can, after the
+            # ends of the intervals still too wide trade their loosened
+            # certified values for eigensolved ones
+            wide = certs > lower + target
+            split = wide & (hi - lo > 1)
+            if not split.any():
+                g = _envelope_gvals(m, mh, np.concatenate((lo[wide], hi[wide])) * _UNIT)
+                gl[wide] = np.minimum(gl[wide], g[: g.size // 2])
+                gr[wide] = np.minimum(gr[wide], g[g.size // 2 :])
+                upper = max(lower, float(_grid_upper(gl, gr, (hi - lo) * _UNIT, slack).max()))
                 break
             q = (lo[split] + hi[split]) // 2
             gq = _envelope_gvals(m, mh, q * _UNIT)

@@ -997,3 +997,25 @@ def test_cholesky_refuses_values_below_lambda_max():
                 vals, solved = numrad.radius._certify(m, mh, thetas, top + 1e-6 * norm, norm)
                 assert not solved.any(), (family, n, e)
                 assert np.array_equal(vals, top + 1e-6 * norm), (family, n, e)
+
+
+def test_tight_targets_refine_to_the_grid_cap():
+    # at 1e-12 ||A|| an enclosure may need intervals one numerator (2 pi /
+    # 2^20) wide: an interval that cannot split leaves the others splitting,
+    # and at the cap the intervals still too wide trade their loosened
+    # ladder values for eigensolved ones.  These four draws meet the width
+    # there, and the first draw of the ginibre cell carries a tight estimate
+    # when it cannot
+    cfg = RadiusConfig(target_width_rel=1e-12)
+    cases = (("ginibre", 3, 1), ("ginibre", 3, 2), ("ginibre", 7, 2), ("rank1", 3, 3))
+    for family, n, index in cases:
+        a = generate(EnsembleSpec(family, n, 4, seed=99), index)
+        est = numerical_radius(a, cfg)
+        assert est.width <= cfg.resolve_target(operator_norm(a)), (family, n, index)
+    a = generate(EnsembleSpec("ginibre", 3, 4, seed=99), 0)
+    with pytest.raises(EnclosureNotReached) as info:
+        numerical_radius(a, cfg)
+    est = info.value.estimate
+    assert est.grid_points == GRID_CAP
+    assert est.width <= 1e-11 * operator_norm(a)
+    assert radius_sample_oracle(a, 20000, seed=1) <= est.upper
